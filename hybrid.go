@@ -83,22 +83,25 @@ type Metrics = sim.Metrics
 type Engine = sim.Engine
 
 const (
-	// EngineSharded is the default engine (sim v2): per-shard message
-	// staging, worker-pool delivery, preallocated and reused inboxes.
+	// EngineStep is the default engine (sim v3), the goroutine-free one:
+	// each node runs as an explicit resumable state machine and the round
+	// loop itself is the barrier, removing the scheduler wake/park cost
+	// that dominates large runs. Every facade algorithm runs step-native
+	// machines on it (the pipeline contract requires both execution
+	// forms), and a finished phase releases its state, so it is the
+	// fastest engine, with a peak RSS within a few percent of
+	// EngineSharded's on the benchmark workloads. See ARCHITECTURE.md for
+	// the design and measured numbers.
+	EngineStep = sim.EngineStep
+	// EngineSharded (sim v2) runs node programs as goroutines with
+	// per-shard message staging, worker-pool delivery, preallocated and
+	// reused inboxes.
 	EngineSharded = sim.EngineSharded
 	// EngineLegacy is the original goroutine-per-node engine with a single
 	// delivery coordinator. It is slower but maximally simple, and is kept
 	// as a differential-testing oracle: for any fixed seed all engines
 	// produce byte-identical results and Metrics.
 	EngineLegacy = sim.EngineLegacy
-	// EngineStep is the goroutine-free engine (sim v3): each node runs as
-	// an explicit resumable state machine and the round loop itself is the
-	// barrier, removing the scheduler wake/park cost that dominates large
-	// runs. Every facade algorithm runs step-native machines on it (the
-	// pipeline contract requires both execution forms), making it the
-	// fastest engine on large inputs. See ARCHITECTURE.md for the design
-	// and measured numbers.
-	EngineStep = sim.EngineStep
 	// EngineDist is the multi-process distributed engine (sim v4): node
 	// programs step in the coordinator, but every global-mode message is
 	// routed through its destination shard's worker OS process over the
@@ -139,10 +142,10 @@ func WithSeed(seed int64) Option {
 	return func(nw *Network) { nw.cfg.Seed = seed }
 }
 
-// WithEngine selects the round engine (default EngineSharded). Engines
-// change wall-clock speed only: results and Metrics are engine-independent
-// for a fixed seed. EngineStep is the fastest on large inputs (no
-// goroutine barrier); see ARCHITECTURE.md for the measured tradeoffs.
+// WithEngine selects the round engine (default EngineStep, the fastest).
+// Engines change wall-clock speed and memory only: results and Metrics are
+// engine-independent for a fixed seed. See ARCHITECTURE.md for the
+// measured tradeoffs.
 func WithEngine(e Engine) Option {
 	return func(nw *Network) { nw.cfg.Engine = e }
 }

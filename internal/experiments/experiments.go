@@ -24,8 +24,7 @@ type Config struct {
 	// Expect minutes, not seconds; see the README's experiments section.
 	XL bool
 	// Engine selects the round engine the experiments run on (default
-	// EngineSharded). Results are engine-independent; XL sweeps want
-	// EngineStep.
+	// EngineStep, the fastest). Results are engine-independent.
 	Engine sim.Engine
 }
 

@@ -332,7 +332,8 @@ func NewRouteProgram(env *sim.Env, spec Spec, params Params, done func([]Token))
 
 // announceMachine is the step form of announceHelpers: 2β rounds of
 // cluster-local flooding of (w, helper) pairs so all cluster members agree
-// on each H_w.
+// on each H_w. The pairs live only in known while the flood runs; the
+// directory is built from it once, at the end.
 type announceMachine struct {
 	// Sets is the helper directory of this node's cluster (w -> sorted
 	// helper IDs); valid once Step returned true.
@@ -346,7 +347,7 @@ type announceMachine struct {
 
 func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachine {
 	beta := 2 * mu * sim.Log2Ceil(env.N())
-	a := &announceMachine{Sets: map[int][]int{}, ruler: res.Ruler}
+	a := &announceMachine{ruler: res.Ruler}
 	for _, w := range res.Helps {
 		a.record(w, env.ID())
 		a.delta = append(a.delta, helperAnnounce{Ruler: res.Ruler, W: w, Helper: env.ID()})
@@ -381,23 +382,40 @@ func newAnnounceMachine(env *sim.Env, res helpers.Result, mu int) *announceMachi
 }
 
 // record registers one (w, helper) pair, reporting whether it was new.
+// The packed key sorts by w, then helper (both below 2^31).
 func (a *announceMachine) record(w, helper int) bool {
-	if a.known.Add(uint64(w)<<32 | uint64(uint32(helper))) {
-		a.Sets[w] = append(a.Sets[w], helper)
-		return true
-	}
-	return false
+	return a.known.Add(uint64(w)<<32 | uint64(uint32(helper)))
 }
 
 // Step implements sim.StepProgram.
 func (a *announceMachine) Step(env *sim.Env) bool {
-	if a.loop.Step(env) {
-		for w := range a.Sets {
-			sort.Ints(a.Sets[w])
-		}
-		return true
+	if !a.loop.Step(env) {
+		return false
 	}
-	return false
+	if a.Sets == nil {
+		a.Sets = helperDirectory(&a.known)
+		a.known, a.delta = flatmap.Set{}, nil
+	}
+	return true
+}
+
+// helperDirectory groups the packed (w, helper) pairs of known into the
+// w -> sorted helpers directory. The sorted key order already groups by w
+// with helpers ascending, so every H_w is a capacity-capped window of one
+// shared slab.
+func helperDirectory(known *flatmap.Set) map[int][]int {
+	keys := known.AppendSortedKeys(make([]uint64, 0, known.Len()))
+	slab := make([]int, len(keys))
+	sets := map[int][]int{}
+	lo := 0
+	for i, k := range keys {
+		slab[i] = int(uint32(k))
+		if i+1 == len(keys) || keys[i+1]>>32 != k>>32 {
+			sets[int(k>>32)] = slab[lo : i+1 : i+1]
+			lo = i + 1
+		}
+	}
+	return sets
 }
 
 // spreadMachine is the step form of family.spread: flood each owner's item

@@ -3,9 +3,11 @@ package routing
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/helpers"
 	"repro/internal/sim"
 )
 
@@ -70,5 +72,61 @@ func TestRouteProgramMatchesRoute(t *testing.T) {
 		if wantM != gotM {
 			t.Errorf("engine=%s: metrics differ: %+v vs %+v", eng, wantM, gotM)
 		}
+	}
+}
+
+// TestAnnounceMachineRetention: the step announce flood must produce the
+// goroutine announceHelpers directory exactly (every H_w sorted and
+// capacity-capped, so appending to one set cannot clobber the next), and
+// must drop its dedup set once done without losing the directory.
+func TestAnnounceMachineRetention(t *testing.T) {
+	g := graph.Grid(6, 6)
+	const mu, seed = 2, 5
+	inW := func(v int) bool { return v%3 == 0 }
+
+	want := make([]map[int][]int, g.N())
+	if _, err := sim.Run(g, sim.Config{Seed: seed, Engine: sim.EngineSharded}, func(env *sim.Env) {
+		res := helpers.Compute(env, inW(env.ID()), mu, helpers.Params{})
+		want[env.ID()] = announceHelpers(env, res, mu)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*announceMachine, g.N())
+	if _, err := sim.RunStep(g, sim.Config{Seed: seed, Engine: sim.EngineStep}, func(env *sim.Env) sim.StepProgram {
+		var hm *helpers.Machine
+		return sim.Sequence(
+			func(env *sim.Env) sim.StepProgram {
+				hm = helpers.NewMachine(env, inW(env.ID()), mu, helpers.Params{})
+				return hm
+			},
+			func(env *sim.Env) sim.StepProgram {
+				got[env.ID()] = newAnnounceMachine(env, hm.Res, mu)
+				return got[env.ID()]
+			},
+		)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	pairs := 0
+	for v, a := range got {
+		if !reflect.DeepEqual(a.Sets, want[v]) {
+			t.Fatalf("node %d: step directory %v, goroutine directory %v", v, a.Sets, want[v])
+		}
+		for w, hs := range a.Sets {
+			if !sort.IntsAreSorted(hs) || cap(hs) != len(hs) {
+				t.Fatalf("node %d: H_%d = %v (cap %d) is not a sorted, capped window", v, w, hs, cap(hs))
+			}
+			pairs += len(hs)
+		}
+		if a.known.Len() != 0 || a.known.Cap() != 0 || a.delta != nil {
+			t.Fatalf("node %d: announce scratch kept after done (known %d/%d, delta %d)", v, a.known.Len(), a.known.Cap(), len(a.delta))
+		}
+		if !a.Step(nil) || !reflect.DeepEqual(a.Sets, want[v]) {
+			t.Fatalf("node %d: Step after done must keep reporting done with the directory intact", v)
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no helper was announced; the instance is trivial")
 	}
 }

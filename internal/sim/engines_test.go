@@ -79,9 +79,9 @@ func TestEnginesAgree(t *testing.T) {
 // construction, whatever the sharding).
 func TestShardCountInvariance(t *testing.T) {
 	g := graph.Grid(5, 8)
-	baseOut, baseM := runChatter(t, g, Config{Seed: 11, Shards: 1})
+	baseOut, baseM := runChatter(t, g, Config{Engine: EngineSharded, Seed: 11, Shards: 1})
 	for _, shards := range []int{2, 3, 7, 16, 40, 1000} {
-		out, m := runChatter(t, g, Config{Seed: 11, Shards: shards})
+		out, m := runChatter(t, g, Config{Engine: EngineSharded, Seed: 11, Shards: shards})
 		if !reflect.DeepEqual(baseOut, out) {
 			t.Fatalf("shards=%d: results differ from shards=1", shards)
 		}
@@ -97,7 +97,7 @@ func TestShardCountInvariance(t *testing.T) {
 func TestShardedInboxReuseSafe(t *testing.T) {
 	g := graph.Path(8)
 	sums := make([]int64, g.N())
-	_, err := Run(g, Config{Seed: 4}, func(env *Env) {
+	_, err := Run(g, Config{Engine: EngineSharded, Seed: 4}, func(env *Env) {
 		var held Inbox
 		for r := 0; r < 20; r++ {
 			// Read the PREVIOUS round's inbox only now, just before Step.
@@ -128,7 +128,7 @@ func TestShardedInboxReuseSafe(t *testing.T) {
 func TestShardedViolationsDeterministic(t *testing.T) {
 	g := graph.Path(64)
 	for _, shards := range []int{1, 4, 16} {
-		_, err := Run(g, Config{StrictRecvFactor: 1, Shards: shards}, func(env *Env) {
+		_, err := Run(g, Config{Engine: EngineSharded, StrictRecvFactor: 1, Shards: shards}, func(env *Env) {
 			// Everyone floods both node 5 and node 50.
 			if env.ID() != 5 && env.ID() != 50 {
 				env.SendGlobal(5, 0, 0, 0, 0, 0)
@@ -146,10 +146,17 @@ func TestShardedViolationsDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineString pins the flag/benchmark labels.
+// TestEngineString pins the flag/benchmark labels and the default: the
+// zero Config runs EngineStep.
 func TestEngineString(t *testing.T) {
-	if EngineSharded.String() != "sharded" || EngineLegacy.String() != "legacy" || EngineStep.String() != "step" {
-		t.Fatalf("engine names changed: %q / %q / %q", EngineSharded, EngineLegacy, EngineStep)
+	want := map[Engine]string{EngineStep: "step", EngineSharded: "sharded", EngineLegacy: "legacy", EngineDist: "dist", Engine(99): "Engine(99)"}
+	for e, name := range want {
+		if e.String() != name {
+			t.Errorf("engine %d is named %q, want %q", int(e), e, name)
+		}
+	}
+	if (Config{}).Engine != EngineStep {
+		t.Errorf("the zero Config runs %s, want step", Config{}.Engine)
 	}
 }
 

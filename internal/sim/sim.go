@@ -19,26 +19,32 @@
 //
 // # Engines
 //
-// Three interchangeable round engines implement the barrier and delivery;
+// Four interchangeable round engines implement the barrier and delivery;
 // Config.Engine selects one.
 //
-// EngineSharded (the default, "sim v2") runs each Program as a goroutine
-// and splits the node set into contiguous shards, at most GOMAXPROCS of
-// them. Senders stage outgoing messages into per-destination-shard buckets
-// as they send, and at the round boundary a persistent worker pool drains
+// EngineStep (the default, "sim v3") runs each node as a StepProgram with
+// no per-node goroutine: the engine's round loop iterates the machines in
+// shard-parallel batches and then runs the sharded delivery path — the
+// loop IS the barrier, so rounds cost zero scheduler wake/park cycles.
+// A finished Chain, Sequence or Loop drops the closures it holds, so a
+// phase's scratch is collectable once the phase ends. Programs without a
+// step port run on it through a goroutine-backed adapter. See step.go and
+// RunStep.
+//
+// EngineSharded ("sim v2") runs each Program as a goroutine and splits
+// the node set into contiguous shards, at most GOMAXPROCS of them.
+// Senders stage outgoing messages into per-destination-shard buckets as
+// they send, and at the round boundary a persistent worker pool drains
 // the buckets shard by shard — each worker owns the inboxes, receive
 // counters, and metric deltas of exactly one shard, so delivery is
 // lock-free and scales with cores. Inboxes are preallocated and
 // double-buffered so steady-state rounds allocate nothing, and senders
 // that staged nothing are skipped via dirty flags (sparse rounds are the
-// common case in delta-style flooding). See sharded.go.
+// common case in delta-style flooding). See sharded.go. EngineStep reuses
+// this delivery path.
 //
-// EngineStep ("sim v3") runs each node as a StepProgram with no per-node
-// goroutine: the engine's round loop iterates the machines in
-// shard-parallel batches and then runs the sharded delivery path — the
-// loop IS the barrier, so rounds cost zero scheduler wake/park cycles.
-// Programs without a step port run on it through a goroutine-backed
-// adapter. See step.go and RunStep.
+// EngineDist is EngineStep with global-mode delivery routed through
+// worker OS processes; see dist.go.
 //
 // EngineLegacy is the original engine: a single coordinator goroutine
 // drains every node's flat outbox in node-ID order with freshly allocated
@@ -134,20 +140,20 @@ type Program func(env *Env)
 type Engine int
 
 const (
-	// EngineSharded is the default engine: per-shard staging buckets,
-	// worker-pool delivery, reused double-buffered inboxes. Node programs
-	// are goroutines synchronized at the round barrier.
-	EngineSharded Engine = iota
+	// EngineStep is the default engine. It runs each node as an explicit
+	// resumable state machine (StepProgram) with no per-node goroutine:
+	// the engine's round loop IS the barrier, so rounds cost zero
+	// scheduler wake/park cycles. Legacy Programs run on it through a
+	// goroutine-backed adapter; step-native programs run on the goroutine
+	// engines through DriveProgram. See step.go and RunStep.
+	EngineStep Engine = iota
+	// EngineSharded runs node programs as goroutines synchronized at the
+	// round barrier, with per-shard staging buckets, worker-pool delivery
+	// and reused double-buffered inboxes.
+	EngineSharded
 	// EngineLegacy is the original goroutine-per-node engine with a single
 	// delivery coordinator, kept as a differential-testing oracle.
 	EngineLegacy
-	// EngineStep runs each node as an explicit resumable state machine
-	// (StepProgram) with no per-node goroutine: the engine's round loop IS
-	// the barrier, so rounds cost zero scheduler wake/park cycles. Legacy
-	// Programs run on it through a goroutine-backed adapter; step-native
-	// programs run on the goroutine engines through DriveProgram. See
-	// step.go and RunStep.
-	EngineStep
 	// EngineDist is the step engine with global-mode delivery routed
 	// through per-shard worker OS processes over a wire protocol (unix
 	// sockets by default). Node execution and local-mode delivery stay in
@@ -162,14 +168,16 @@ const (
 // String names the engine for flags and benchmark labels.
 func (e Engine) String() string {
 	switch e {
-	case EngineLegacy:
-		return "legacy"
 	case EngineStep:
 		return "step"
+	case EngineSharded:
+		return "sharded"
+	case EngineLegacy:
+		return "legacy"
 	case EngineDist:
 		return "dist"
 	default:
-		return "sharded"
+		return fmt.Sprintf("Engine(%d)", int(e))
 	}
 }
 
@@ -178,8 +186,8 @@ type Config struct {
 	// Seed roots all randomness (per-node streams and public randomness).
 	Seed int64
 
-	// Engine selects the round engine (default EngineSharded). Both
-	// engines produce identical results and Metrics for identical seeds.
+	// Engine selects the round engine (default EngineStep). All engines
+	// produce identical results and Metrics for identical seeds.
 	Engine Engine
 
 	// Shards overrides the sharded engine's shard count. Zero (the

@@ -94,7 +94,9 @@ func (f StepFunc) Step(env *Env) bool { return f(env) }
 // round segment — to produce its successor, and a nil return finishes the
 // chain. next sees every predecessor's result (via the closure) and may
 // decide data-dependently, which is what the protocols' aggregate-and-
-// continue loops need (e.g. routing's reply drain).
+// continue loops need (e.g. routing's reply drain). A finished chain drops
+// next, releasing everything its closure captured, and keeps reporting
+// done.
 func Chain(next func(env *Env) StepProgram) StepProgram {
 	return &chain{next: next}
 }
@@ -113,7 +115,9 @@ func (c *chain) Step(env *Env) bool {
 	for {
 		if c.cur == nil {
 			if c.cur = c.next(env); c.cur == nil {
-				c.done = true
+				// Drop the generator: its closure is what keeps the
+				// finished children (and their scratch) reachable.
+				c.done, c.next = true, nil
 				return true
 			}
 		}
@@ -165,7 +169,9 @@ func Finish(f func(env *Env)) func(env *Env) StepProgram {
 // paced global sends, tree aggregations). One Step call runs Recv for the
 // round that just ended (skipped before the first round), then Send for the
 // next; the machine finishes — mid-segment, after its last Recv — once Send
-// has run Rounds times. Either callback may be nil. A Loop is single-use.
+// has run Rounds times. Either callback may be nil. A Loop is single-use:
+// it drops both callbacks when it finishes, releasing what they captured,
+// and keeps reporting done.
 type Loop struct {
 	Rounds int
 	Send   func(env *Env, i int)
@@ -179,6 +185,7 @@ func (l *Loop) Step(env *Env) bool {
 		l.Recv(env, env.Incoming(), l.i-1)
 	}
 	if l.i >= l.Rounds {
+		l.Send, l.Recv = nil, nil
 		return true
 	}
 	if l.Send != nil {

@@ -24,3 +24,11 @@ func TestUniformEstimateDetectsDisagreement(t *testing.T) {
 		t.Fatalf("empty vector: got (%d, %v)", got, err)
 	}
 }
+
+// TestDefaultEngineIsStep: a Network built without WithEngine runs the
+// goroutine-free step engine.
+func TestDefaultEngineIsStep(t *testing.T) {
+	if got := New(PathGraph(2)).cfg.Engine; got != EngineStep {
+		t.Fatalf("default engine is %s, want step", got)
+	}
+}
