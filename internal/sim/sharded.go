@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"time"
 )
 
 // The sharded engine ("sim v2") keeps the node programs exactly as they are
@@ -15,8 +16,9 @@ import (
 //     bucket k of every sender in ascending sender ID, which reproduces the
 //     engine contract (inboxes ordered by sender ID, then send order)
 //     independently of the shard count.
-//   - Delivery runs on a persistent worker pool (one worker per shard, at
-//     most GOMAXPROCS shards). Workers touch disjoint state: shard k's
+//   - Delivery runs on a persistent worker pool (at most GOMAXPROCS shards;
+//     the round loop's own goroutine takes shard 0 and one worker takes
+//     each further shard). Workers touch disjoint state: shard k's
 //     worker writes only the inboxes and receive counters of shard k's
 //     nodes and the k-buckets of the senders, so the merge of the per-shard
 //     metric deltas is the only cross-shard step, and it is a sum/max merge
@@ -116,11 +118,18 @@ func (e *engine) initSharded() {
 		env.outGlobalSh = make([][]GlobalMsg, e.nShards)
 	}
 	if e.nShards > 1 {
-		e.workCh = make(chan shardTask)
-		e.resCh = make(chan shardResult)
-		for w := 0; w < e.nShards; w++ {
+		// The round loop runs shard 0 itself, so the pool has one worker
+		// per further shard, and neither side ever blocks on a send.
+		e.poolSpin = e.stepMode && e.nShards <= runtime.GOMAXPROCS(0)
+		e.workCh = make(chan shardTask, e.nShards-1)
+		e.resCh = make(chan shardResult, e.nShards-1)
+		for w := 1; w < e.nShards; w++ {
 			go func() {
-				for t := range e.workCh {
+				for {
+					t, ok := poolRecv(e.workCh, e.poolSpin)
+					if !ok {
+						return
+					}
 					switch {
 					case t.step && t.batch:
 						e.stepBatches()
@@ -135,6 +144,33 @@ func (e *engine) initSharded() {
 			}()
 		}
 	}
+}
+
+// poolSpinWait is how long a step-engine pool member that has nothing to
+// do polls its channel before it parks. Step round segments are short, so
+// a member that parked between segments put an OS thread wake-up on every
+// round's critical path, and how long a wake-up takes depends on the host
+// (on a VM, on whether the idle vCPU was halted), not on the run. Polling
+// across the gap keeps the threads running; a longer gap (set-up between
+// phases, the end of a run) still parks after this bound.
+const poolSpinWait = 200 * time.Microsecond
+
+// poolRecv receives from a pool channel; with spin it polls for up to
+// poolSpinWait before blocking. Spinning is only enabled when every shard
+// has a P of its own (engine.poolSpin), so a poller never holds the P the
+// goroutine it waits for needs.
+func poolRecv[T any](ch chan T, spin bool) (v T, ok bool) {
+	if spin {
+		for start := time.Now(); time.Since(start) < poolSpinWait; {
+			select {
+			case v, ok = <-ch:
+				return v, ok
+			default:
+			}
+		}
+	}
+	v, ok = <-ch
+	return v, ok
 }
 
 // stopSharded shuts the worker pool down.
@@ -155,11 +191,14 @@ func (e *engine) deliverSharded() int {
 	if e.nShards == 1 {
 		total = e.runShard(0)
 	} else {
-		for k := 0; k < e.nShards; k++ {
+		for k := 1; k < e.nShards; k++ {
 			e.workCh <- shardTask{k: k}
 		}
+		r := e.runShard(0)
 		for k := 0; k < e.nShards; k++ {
-			r := <-e.resCh
+			if k > 0 {
+				r, _ = poolRecv(e.resCh, e.poolSpin)
+			}
 			total.finished += r.finished
 			total.localMsgs += r.localMsgs
 			total.localBits += r.localBits

@@ -354,6 +354,7 @@ type engine struct {
 	dirty     [][]bool // [shard][sender]: sender staged something for shard
 	workCh    chan shardTask
 	resCh     chan shardResult
+	poolSpin  bool // pool members poll before parking; see poolRecv
 
 	// Step-engine state (nil unless EngineStep); see step.go.
 	stepMode   bool

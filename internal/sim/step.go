@@ -524,7 +524,8 @@ func (e *engine) buildProg(factory StepFactory, env *Env) (sp StepProgram) {
 }
 
 // stepGeneration advances every unfinished node by one round segment,
-// shard-parallel when the worker pool exists. With StepBatch resolved and
+// shard-parallel when the worker pool exists (the calling goroutine takes
+// shard 0, or its share of the batches). With StepBatch resolved and
 // no adapter groups in play, the workers instead drain the node range in
 // work-stealing batches, which rebalances rounds whose active nodes
 // cluster inside few shards. (Adapter groups pin their members to the
@@ -536,19 +537,18 @@ func (e *engine) stepGeneration() {
 	}
 	if e.stepBatch > 0 && e.adGroups == nil {
 		e.stepCursor.Store(0)
-		for k := 0; k < e.nShards; k++ {
+		for k := 1; k < e.nShards; k++ {
 			e.workCh <- shardTask{step: true, batch: true}
 		}
-		for k := 0; k < e.nShards; k++ {
-			<-e.resCh
+		e.stepBatches()
+	} else {
+		for k := 1; k < e.nShards; k++ {
+			e.workCh <- shardTask{k: k, step: true}
 		}
-		return
+		e.stepShard(0)
 	}
-	for k := 0; k < e.nShards; k++ {
-		e.workCh <- shardTask{k: k, step: true}
-	}
-	for k := 0; k < e.nShards; k++ {
-		<-e.resCh
+	for k := 1; k < e.nShards; k++ {
+		poolRecv(e.resCh, e.poolSpin)
 	}
 }
 
