@@ -1,9 +1,9 @@
 // Command benchmulti measures round-engine scaling and emits a
 // machine-readable report. In the default -engine step mode it sweeps
 // GOMAXPROCS and writes BENCH_multicore.json: one row per core count, all
-// solving the identical APSP instance with autotuned shard count and
-// step-batch width. With -engine dist it instead sweeps the distributed
-// engine's worker-process count and writes one row per -workers entry
+// solving the identical APSP instance with the autotuned shard count.
+// With -engine dist it instead sweeps the distributed engine's
+// worker-process count and writes one row per -workers entry
 // (BENCH_dist.json is the committed artifact) — the scaling axis is OS
 // processes connected over the wire protocol, not scheduler threads. The
 // committed files are the repository's record of how each configuration
@@ -16,9 +16,9 @@
 // Every row self-verifies against the first: the distance matrices and
 // round counts must be byte-identical across the sweep (engine results
 // are independent of the parallel grain — the same property the
-// differential tests pin for shard counts, batch widths, and worker
-// counts), and the program exits non-zero if any row diverges, so the
-// JSON is only written for sweeps whose correctness story holds.
+// differential tests pin for shard counts and worker counts), and the
+// program exits non-zero if any row diverges, so the JSON is only written
+// for sweeps whose correctness story holds.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 	"time"
 
 	hybrid "repro"
+	"repro/internal/sim"
 )
 
 // report is one row of the emitted JSON array.
@@ -45,7 +46,6 @@ type report struct {
 	Engine     string `json:"engine"`
 	Gomaxprocs int    `json:"gomaxprocs"`
 	Shards     int    `json:"shards"`
-	StepBatch  int    `json:"step_batch"`
 	// Workers is the dist engine's worker-process count; zero (omitted)
 	// on step-engine rows, where processes play no part.
 	Workers int `json:"workers,omitempty"`
@@ -87,11 +87,7 @@ func buildGraph(kind string, n int, seed int64) (*hybrid.Graph, error) {
 	rng := rand.New(rand.NewSource(seed))
 	switch kind {
 	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return hybrid.GridGraph(side, side), nil
+		return hybrid.GridGraph(sim.SqrtCeil(n), sim.SqrtCeil(n)), nil
 	case "path":
 		return hybrid.PathGraph(n), nil
 	case "cycle":
@@ -145,7 +141,7 @@ func run(graphKind string, n int, engine, procsList, workersList string, seed in
 		for _, p := range procs {
 			runtime.GOMAXPROCS(p)
 			net := hybrid.New(g, hybrid.WithSeed(seed), hybrid.WithEngine(hybrid.EngineStep),
-				hybrid.WithShards(0), hybrid.WithStepBatch(-1))
+				hybrid.WithShards(0))
 			start := time.Now()
 			res, err := net.APSP()
 			if err != nil {
@@ -158,7 +154,6 @@ func run(graphKind string, n int, engine, procsList, workersList string, seed in
 				Engine:     "step",
 				Gomaxprocs: p,
 				Shards:     0,
-				StepBatch:  -1,
 				Rounds:     res.Metrics.Rounds,
 				WallMS:     float64(time.Since(start).Microseconds()) / 1000,
 				Checksum:   checksum(res.Dist),

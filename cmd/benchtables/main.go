@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchtables [-quick] [-xl] [-seed N] [-only E3,E7] [-engine sharded]
+//	benchtables [-quick] [-xl] [-seed N] [-only E3,E7] [-engine legacy]
 //
 // The tables run on the goroutine-free step engine unless -engine picks
 // another. -xl extends the scaling tables (E3, E6) to n ∈ {1024, 4096};
@@ -28,21 +28,17 @@ func main() {
 	seed := flag.Int64("seed", 20200615, "root random seed")
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default all)")
 	ablations := flag.Bool("ablations", false, "also run the A1-A4 design-choice ablations")
-	engine := flag.String("engine", "step", "round engine: step | sharded | legacy")
+	engine := flag.String("engine", "step", "round engine: step | legacy")
 	flag.Parse()
 
 	cfg := experiments.Config{Seed: *seed, Quick: *quick, XL: *xl}
-	switch *engine {
-	case "step":
-		cfg.Engine = sim.EngineStep
-	case "sharded":
-		cfg.Engine = sim.EngineSharded
-	case "legacy":
-		cfg.Engine = sim.EngineLegacy
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
+	eng, err := sim.ParseEngine(*engine)
+	if err != nil || eng == sim.EngineDist {
+		// The experiments do not link the dist router.
+		fmt.Fprintf(os.Stderr, "unknown engine %q (want step or legacy)\n", *engine)
 		os.Exit(2)
 	}
+	cfg.Engine = eng
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	hybrid "repro"
+	"repro/internal/sim"
 )
 
 // report is one row of the BENCH_warmstart.json array.
@@ -61,7 +62,7 @@ type report struct {
 func main() {
 	graphKinds := flag.String("graph", "grid", "comma-separated graphs: grid|path|cycle|tree|sparse|geometric")
 	n := flag.Int("n", 1024, "number of nodes")
-	engine := flag.String("engine", "step", "round engine: sharded|step|legacy")
+	engine := flag.String("engine", "step", "round engine: step|legacy|dist")
 	seed := flag.Int64("seed", 1, "seed of the cold/warm pair")
 	seed2 := flag.Int64("seed2", 2, "seed of the cross-seed pair")
 	out := flag.String("out", "BENCH_warmstart.json", "output JSON path")
@@ -78,16 +79,9 @@ func main() {
 // writes the row array to out. One shared cache directory serves all
 // rows (files are fingerprint-keyed, so topologies never collide).
 func run(graphKinds string, n int, engine string, seed, seed2 int64, out, cacheDir string) error {
-	var eng hybrid.Engine
-	switch engine {
-	case "sharded":
-		eng = hybrid.EngineSharded
-	case "step":
-		eng = hybrid.EngineStep
-	case "legacy":
-		eng = hybrid.EngineLegacy
-	default:
-		return fmt.Errorf("unknown engine %q", engine)
+	eng, err := sim.ParseEngine(engine)
+	if err != nil {
+		return err
 	}
 
 	if cacheDir == "" {
@@ -128,11 +122,7 @@ func runOne(graphKind string, n int, engine string, eng hybrid.Engine, seed, see
 	rng := rand.New(rand.NewSource(seed))
 	switch graphKind {
 	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		g = hybrid.GridGraph(side, side)
+		g = hybrid.GridGraph(sim.SqrtCeil(n), sim.SqrtCeil(n))
 	case "path":
 		g = hybrid.PathGraph(n)
 	case "cycle":

@@ -38,6 +38,7 @@ import (
 	hybrid "repro"
 	"repro/internal/serve"
 	"repro/internal/serve/replay"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -58,7 +59,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	n := fs.Int("n", 1024, "number of nodes")
 	seed := fs.Int64("seed", 1, "random seed")
 	maxW := fs.Int64("maxw", 1, "max edge weight (1 = unweighted)")
-	engine := fs.String("engine", "step", "round engine: sharded|step|legacy|dist")
+	engine := fs.String("engine", "step", "round engine: step|legacy|dist")
 	workers := fs.Int("workers", 0, "dist engine worker-process count (0 = default)")
 	distConnect := fs.String("dist-connect", "", "comma-separated pre-started worker addresses for the dist engine (connect mode)")
 	distWindow := fs.Int("dist-window", 0, "dist engine round-pipelining window (0 = lockstep)")
@@ -87,18 +88,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		return 1
 	}
 
-	var eng hybrid.Engine
-	switch *engine {
-	case "sharded":
-		eng = hybrid.EngineSharded
-	case "step":
-		eng = hybrid.EngineStep
-	case "legacy":
-		eng = hybrid.EngineLegacy
-	case "dist":
-		eng = hybrid.EngineDist
-	default:
-		return fatalf("unknown engine %q", *engine)
+	eng, err := sim.ParseEngine(*engine)
+	if err != nil {
+		return fatalf("%v", err)
 	}
 	if (*distConnect != "" || *distWindow > 0 || *workers > 0) && eng != hybrid.EngineDist {
 		return fatalf("-workers, -dist-connect and -dist-window require -engine dist")
@@ -108,11 +100,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	var g *hybrid.Graph
 	switch *graphKind {
 	case "grid":
-		side := 1
-		for side*side < *n {
-			side++
-		}
-		g = hybrid.GridGraph(side, side)
+		g = hybrid.GridGraph(sim.SqrtCeil(*n), sim.SqrtCeil(*n))
 	case "path":
 		g = hybrid.PathGraph(*n)
 	case "cycle":

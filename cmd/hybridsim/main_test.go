@@ -234,6 +234,21 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRetiredEngine: the goroutine sharded engine is gone, and naming it
+// is an error that says so, not a silent fallback to another engine.
+func TestRunRetiredEngine(t *testing.T) {
+	code, stdout, stderr := runCLI("-engine", "sharded", "-n", "16")
+	if code == 0 {
+		t.Fatalf("-engine sharded exited 0:\n%s", stdout)
+	}
+	if want := `unknown engine "sharded"`; !strings.Contains(stderr, want) {
+		t.Fatalf("stderr %q does not contain %q", stderr, want)
+	}
+	if stdout != "" {
+		t.Fatalf("-engine sharded ran anyway:\n%s", stdout)
+	}
+}
+
 // TestRunDistConnectCLI runs the full CLI in connect mode against
 // pre-started in-process listen workers and checks the run verifies
 // against ground truth like any other engine.

@@ -1,13 +1,12 @@
-// Differential tests between the four round engines: for fixed seeds, the
-// legacy goroutine-per-node engine, the sharded v2 engine, the
-// goroutine-free step engine, and the multi-process distributed engine
-// must produce byte-identical distances, diameter estimates, round counts,
-// and cost metrics on every algorithm of the public API. The legacy engine
-// is the oracle; any divergence is an engine (or step-port, or wire
-// protocol) bug by definition. On EngineStep, APSP and TokenRouting
-// exercise the step-native machines; SSSP, KSSP and Diameter exercise the
-// goroutine-backed adapter. EngineDist additionally routes every global
-// message through worker OS processes (see internal/dist).
+// Differential tests between the three round engines: for fixed seeds, the
+// legacy goroutine-per-node engine, the goroutine-free step engine, and
+// the multi-process distributed engine must produce byte-identical
+// distances, diameter estimates, round counts, and cost metrics on every
+// algorithm of the public API. The legacy engine is the oracle; any
+// divergence is an engine (or step-port, or wire protocol) bug by
+// definition. The legacy engine runs each algorithm's goroutine form, the
+// other two its step-native machine. EngineDist additionally routes every
+// global message through worker OS processes (see internal/dist).
 package hybrid_test
 
 import (
@@ -19,7 +18,7 @@ import (
 )
 
 // allEngines is the engine matrix every differential test sweeps.
-var allEngines = []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineSharded, hybrid.EngineStep, hybrid.EngineDist}
+var allEngines = []hybrid.Engine{hybrid.EngineLegacy, hybrid.EngineStep, hybrid.EngineDist}
 
 // engineSuite returns the small graph suite the differential tests run on:
 // a grid, a random sparse graph, a path (worst case for flooding), and a

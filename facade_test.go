@@ -158,66 +158,6 @@ func TestRoutingSessionReuseAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShimsMatchSpecValues proves every old enum+eps call
-// produces byte-identical results to its spec-value replacement.
-func TestDeprecatedShimsMatchSpecValues(t *testing.T) {
-	g := hybrid.GridGraph(6, 6)
-	sources := []int{0, 21, 35}
-	ksspPairs := []struct {
-		variant hybrid.KSSPVariant
-		eps     float64
-		spec    hybrid.KSSPSpec
-	}{
-		{hybrid.VariantCor46, 0.5, hybrid.Cor46(0.5)},
-		{hybrid.VariantCor47, 0.25, hybrid.Cor47(0.25)},
-		{hybrid.VariantCor48, 0.5, hybrid.Cor48(0.5)},
-		{hybrid.VariantRealMM, 0.5, hybrid.KSSPRealMM(2)},
-		{hybrid.VariantCor46, 0, hybrid.Cor46(0)}, // old eps<=0 defaulting
-	}
-	for _, p := range ksspPairs {
-		old, err := hybrid.New(g, hybrid.WithSeed(7)).KSSPByVariant(sources, p.variant, p.eps)
-		if err != nil {
-			t.Fatalf("variant %d: %v", p.variant, err)
-		}
-		neu, err := hybrid.New(g, hybrid.WithSeed(7)).KSSP(sources, p.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", p.spec.Name(), err)
-		}
-		if !reflect.DeepEqual(old.Dist, neu.Dist) || old.Metrics != neu.Metrics {
-			t.Errorf("variant %d and %s diverge", p.variant, p.spec.Name())
-		}
-		if old.Algorithm != neu.Algorithm {
-			t.Errorf("shim result tagged %q, spec value %q", old.Algorithm, neu.Algorithm)
-		}
-	}
-
-	diamPairs := []struct {
-		variant hybrid.DiameterVariant
-		eps     float64
-		spec    hybrid.DiameterSpec
-	}{
-		{hybrid.DiameterCor52, 0.5, hybrid.DiamCor52(0.5)},
-		{hybrid.DiameterCor53, 0.25, hybrid.DiamCor53(0.25)},
-		{hybrid.DiameterRealMM, 0.5, hybrid.DiamRealMM(2)},
-	}
-	for _, p := range diamPairs {
-		old, err := hybrid.New(g, hybrid.WithSeed(9)).DiameterByVariant(p.variant, p.eps)
-		if err != nil {
-			t.Fatalf("variant %d: %v", p.variant, err)
-		}
-		neu, err := hybrid.New(g, hybrid.WithSeed(9)).Diameter(p.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", p.spec.Name(), err)
-		}
-		if old.Estimate != neu.Estimate || old.Metrics != neu.Metrics {
-			t.Errorf("variant %d and %s diverge", p.variant, p.spec.Name())
-		}
-	}
-	if _, err := hybrid.New(g).DiameterByVariant(hybrid.DiameterVariant(42), 0.5); err == nil {
-		t.Error("unknown diameter variant accepted")
-	}
-}
-
 // TestFacadeKSSPBadSource pins source validation on the spec-value path.
 func TestFacadeKSSPBadSource(t *testing.T) {
 	net := hybrid.New(hybrid.PathGraph(5))

@@ -83,30 +83,26 @@ type Metrics = sim.Metrics
 type Engine = sim.Engine
 
 const (
-	// EngineStep is the default engine (sim v3), the goroutine-free one:
-	// each node runs as an explicit resumable state machine and the round
-	// loop itself is the barrier, removing the scheduler wake/park cost
-	// that dominates large runs. Every facade algorithm runs step-native
-	// machines on it (the pipeline contract requires both execution
-	// forms), and a finished phase releases its state, so it is the
-	// fastest engine, with a peak RSS within a few percent of
-	// EngineSharded's on the benchmark workloads. See ARCHITECTURE.md for
-	// the design and measured numbers.
+	// EngineStep is the default engine, the goroutine-free one: each node
+	// runs as an explicit resumable state machine and the round loop
+	// itself is the barrier, removing the scheduler wake/park cost that
+	// dominates large runs. Messages are staged per destination shard and
+	// delivered by a worker pool into preallocated, reused inboxes. Every
+	// facade algorithm runs step-native machines on it (the pipeline
+	// contract requires both execution forms), and a finished phase
+	// releases its state, so it is the fastest engine. See ARCHITECTURE.md
+	// for the design and measured numbers.
 	EngineStep = sim.EngineStep
-	// EngineSharded (sim v2) runs node programs as goroutines with
-	// per-shard message staging, worker-pool delivery, preallocated and
-	// reused inboxes.
-	EngineSharded = sim.EngineSharded
 	// EngineLegacy is the original goroutine-per-node engine with a single
 	// delivery coordinator. It is slower but maximally simple, and is kept
 	// as a differential-testing oracle: for any fixed seed all engines
 	// produce byte-identical results and Metrics.
 	EngineLegacy = sim.EngineLegacy
-	// EngineDist is the multi-process distributed engine (sim v4): node
-	// programs step in the coordinator, but every global-mode message is
-	// routed through its destination shard's worker OS process over the
-	// internal/dist wire protocol (unix sockets by default) with
-	// per-frame checksums, timeouts, bounded retries, heartbeats, and
+	// EngineDist is the multi-process distributed engine: node programs
+	// step in the coordinator, but every global-mode message is routed
+	// through its destination shard's worker OS process over the
+	// internal/dist wire protocol (unix sockets by default) with per-frame
+	// checksums, timeouts, bounded retries, heartbeats, and
 	// kill/respawn/replay. It is the slowest engine — every round pays
 	// real serialization and socket round trips — and exists as the
 	// message-passing deployment shape of the HYBRID model, validated
@@ -156,18 +152,11 @@ func WithGlobalSendFactor(factor int) Option {
 	return func(nw *Network) { nw.cfg.GlobalSendFactor = factor }
 }
 
-// WithShards overrides the parallel engines' shard count (default:
-// autotuned from the CPU count and graph size). Results are independent of
+// WithShards overrides the step engine's shard count (default: autotuned
+// from the CPU count and graph size). Results are independent of
 // the value; it exists for tuning and determinism tests.
 func WithShards(s int) Option {
 	return func(nw *Network) { nw.cfg.Shards = s }
-}
-
-// WithStepBatch sets the step engine's work-stealing batch width (0 =
-// whole-shard tasks, the default; negative = autotuned). Results are
-// independent of the value; see sim.Config.StepBatch.
-func WithStepBatch(b int) Option {
-	return func(nw *Network) { nw.cfg.StepBatch = b }
 }
 
 // WithWorkers sets EngineDist's worker-process count (default
@@ -293,8 +282,8 @@ func New(g *graph.Graph, opts ...Option) *Network {
 func (nw *Network) N() int { return nw.g.N() }
 
 // run executes one algorithm pipeline under the network's configuration,
-// dispatching on the engine: step-native machines on EngineStep, the
-// blocking closures on the goroutine engines. It is the single execution
+// dispatching on the engine: step-native machines on EngineStep and
+// EngineDist, the blocking closures on EngineLegacy. It is the single execution
 // path behind every facade entry point. (A package-level function because
 // Go methods cannot be generic.)
 func run[T any](nw *Network, p sim.Pipeline[T]) ([]T, Metrics, error) {

@@ -79,7 +79,10 @@ func TestFacadeSSSPBadSource(t *testing.T) {
 func TestFacadeKSSPVariants(t *testing.T) {
 	g := hybrid.GridGraph(7, 7)
 	sources := []int{0, 24, 48}
-	for _, spec := range []hybrid.KSSPSpec{hybrid.Cor46(0.5), hybrid.Cor47(0.5), hybrid.Cor48(0.5)} {
+	if a, b := hybrid.Cor46(0).Name(), hybrid.Cor46(0.5).Name(); a != b {
+		t.Fatalf("ε <= 0 must default to 0.5: Cor46(0) is %q, Cor46(0.5) is %q", a, b)
+	}
+	for _, spec := range []hybrid.KSSPSpec{hybrid.Cor46(0), hybrid.Cor46(0.5), hybrid.Cor47(0.5), hybrid.Cor48(0.5)} {
 		net := hybrid.New(g, hybrid.WithSeed(4))
 		res, err := net.KSSP(sources, spec)
 		if err != nil {
@@ -102,9 +105,6 @@ func TestFacadeKSSPVariants(t *testing.T) {
 
 func TestFacadeKSSPUnknownVariant(t *testing.T) {
 	net := hybrid.New(hybrid.PathGraph(4))
-	if _, err := net.KSSPByVariant([]int{0}, hybrid.KSSPVariant(99), 0.5); err == nil {
-		t.Fatal("expected error for unknown variant")
-	}
 	if _, err := net.KSSP([]int{0}, hybrid.KSSPSpec{}); err == nil {
 		t.Fatal("expected error for zero-value spec")
 	}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/skeleton"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
 // distill reduces a Result to comparable content: the shared index space
 // and each member's final diameter answer (the factory below runs MM with

@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
 // diffDiameter runs Compute as oracle and the step machine on every
 // engine, requiring byte-identical estimates and Metrics.

@@ -230,7 +230,7 @@ func runSSSPLocal(g *graph.Graph, src, rounds int, cfg Config, want []int64, t *
 	n := g.N()
 	out := make([]int64, n)
 	// The LOCAL baseline runs its step machine so the XL sweeps get the
-	// goroutine-free engine; on the goroutine engines it is driven, with
+	// goroutine-free engine; on EngineLegacy it is driven, with
 	// byte-identical results either way.
 	m, err := sim.RunStep(g, sim.Config{Seed: cfg.Seed, Engine: cfg.Engine}, func(env *sim.Env) sim.StepProgram {
 		id := env.ID()
@@ -266,7 +266,7 @@ func E7Diameter(cfg Config) Table {
 		name string
 		g    *graph.Graph
 	}{
-		{"grid", graph.Grid(isqrt(n), isqrt(n))},
+		{"grid", graph.Grid(sim.SqrtCeil(n), sim.SqrtCeil(n))},
 		{"path", graph.Path(n)},
 		{"cycle", graph.Cycle(n)},
 	}
@@ -309,14 +309,6 @@ func runDiameterVariant(g *graph.Graph, spec diameter.AlgSpec, seed int64) (int6
 		return 0, 0, err
 	}
 	return out[0], m.Rounds, nil
-}
-
-func isqrt(x int) int {
-	r := 1
-	for r*r < x {
-		r++
-	}
-	return r
 }
 
 // E8KSSPLowerBound reproduces Theorem 1.5 / Figure 1: the construction's

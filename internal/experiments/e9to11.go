@@ -133,7 +133,7 @@ func E11ModeComparison(cfg Config) Table {
 		g    *graph.Graph
 	}{
 		{"path", graph.Path(n)},
-		{"grid", graph.Grid(isqrt(n), isqrt(n))},
+		{"grid", graph.Grid(sim.SqrtCeil(n), sim.SqrtCeil(n))},
 	}
 	for _, gg := range graphs {
 		g := gg.g

@@ -27,7 +27,7 @@ func TestMachineMatchesCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep} {
+	for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineStep} {
 		got := make([]Result, g.N())
 		gotM, err := sim.RunStep(g, sim.Config{Seed: 9, Engine: eng}, func(env *sim.Env) sim.StepProgram {
 			m := NewMachine(env, inW[env.ID()], mu, Params{})

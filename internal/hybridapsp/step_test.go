@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
 // diffAPSP runs the goroutine form as oracle and the step form on every
 // engine, requiring byte-identical distance vectors and Metrics.

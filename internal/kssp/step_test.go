@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
 // diffKSSP runs the goroutine Compute as oracle and the step machine on
 // every engine, requiring byte-identical estimates and Metrics.

@@ -229,7 +229,7 @@ func Disseminate(env *sim.Env, mine []Token, k, ell int, params DisseminateParam
 	}
 
 	// Deterministic schedule, identical at every node.
-	r := isqrt(k)
+	r := sim.SqrtCeil(k)
 	if min := 2 * logN * p.FloodSlack; r < min {
 		r = min
 	}
@@ -348,16 +348,4 @@ func tokensOf(set *flatmap.TripleSet) []Token {
 		return out[i].C < out[j].C
 	})
 	return out
-}
-
-// isqrt returns ceil(sqrt(x)) for x >= 0.
-func isqrt(x int) int {
-	if x <= 0 {
-		return 0
-	}
-	r := 1
-	for r*r < x {
-		r++
-	}
-	return r
 }

@@ -1,7 +1,6 @@
 package ncc
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -317,16 +316,6 @@ func TestQuickAggregateMatchesSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIsqrt(t *testing.T) {
-	for x := 0; x <= 200; x++ {
-		got := isqrt(x)
-		want := int(math.Ceil(math.Sqrt(float64(x))))
-		if got != want {
-			t.Fatalf("isqrt(%d) = %d, want %d", x, got, want)
-		}
 	}
 }
 

@@ -190,7 +190,7 @@ func NewDisseminateMachine(env *sim.Env, mine []Token, k, ell int, params Dissem
 
 	// The deterministic schedule, identical at every node (and identical to
 	// Disseminate's).
-	r := isqrt(k)
+	r := sim.SqrtCeil(k)
 	if min := 2 * logN * p.FloodSlack; r < min {
 		r = min
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
 // TestAggregateMachineMatches proves the aggregation machine byte-identical
 // to Aggregate on every engine.

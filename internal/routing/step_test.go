@@ -11,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
 // buildStepInstance constructs a small everyone-sends routing instance.
 func buildStepInstance(n int) []Spec {
@@ -85,7 +85,7 @@ func TestAnnounceMachineRetention(t *testing.T) {
 	inW := func(v int) bool { return v%3 == 0 }
 
 	want := make([]map[int][]int, g.N())
-	if _, err := sim.Run(g, sim.Config{Seed: seed, Engine: sim.EngineSharded}, func(env *sim.Env) {
+	if _, err := sim.Run(g, sim.Config{Seed: seed, Engine: sim.EngineLegacy}, func(env *sim.Env) {
 		res := helpers.Compute(env, inW(env.ID()), mu, helpers.Params{})
 		want[env.ID()] = announceHelpers(env, res, mu)
 	}); err != nil {

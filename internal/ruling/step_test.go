@@ -24,7 +24,7 @@ func TestMachineMatchesCompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep} {
+			for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineStep} {
 				got := make([]bool, g.N())
 				gotM, err := sim.RunStep(g, sim.Config{Seed: 11, Engine: eng}, func(env *sim.Env) sim.StepProgram {
 					m := NewMachine(env, mu)

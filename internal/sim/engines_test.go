@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -50,7 +52,7 @@ func runChatter(t *testing.T, g *graph.Graph, cfg Config) ([]int64, Metrics) {
 }
 
 // TestEnginesAgree is the core differential test: for several topologies
-// and seeds, the legacy and sharded engines must produce byte-identical
+// and seeds, the legacy and step engines must produce byte-identical
 // per-node results and Metrics.
 func TestEnginesAgree(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -61,27 +63,26 @@ func TestEnginesAgree(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 3; seed++ {
 			legacyOut, legacyM := runChatter(t, g, Config{Seed: seed, Engine: EngineLegacy})
-			for _, eng := range []Engine{EngineSharded, EngineStep} {
-				out, m := runChatter(t, g, Config{Seed: seed, Engine: eng})
-				if !reflect.DeepEqual(legacyOut, out) {
-					t.Fatalf("%s seed %d: per-node results differ between legacy and %s", name, seed, eng)
-				}
-				if legacyM != m {
-					t.Fatalf("%s seed %d: metrics differ: legacy %+v %s %+v", name, seed, legacyM, eng, m)
-				}
+			out, m := runChatter(t, g, Config{Seed: seed, Engine: EngineStep})
+			if !reflect.DeepEqual(legacyOut, out) {
+				t.Fatalf("%s seed %d: per-node results differ between legacy and step", name, seed)
+			}
+			if legacyM != m {
+				t.Fatalf("%s seed %d: metrics differ: legacy %+v step %+v", name, seed, legacyM, m)
 			}
 		}
 	}
 }
 
-// TestShardCountInvariance: the sharded engine's results must not depend on
+// TestShardCountInvariance: the step engine's results must not depend on
 // the shard count (delivery order is (sender ID, send order) by
-// construction, whatever the sharding).
+// construction, whatever the sharding). The program is a goroutine
+// Program, so this also covers the per-shard adapter groups.
 func TestShardCountInvariance(t *testing.T) {
 	g := graph.Grid(5, 8)
-	baseOut, baseM := runChatter(t, g, Config{Engine: EngineSharded, Seed: 11, Shards: 1})
+	baseOut, baseM := runChatter(t, g, Config{Engine: EngineStep, Seed: 11, Shards: 1})
 	for _, shards := range []int{2, 3, 7, 16, 40, 1000} {
-		out, m := runChatter(t, g, Config{Engine: EngineSharded, Seed: 11, Shards: shards})
+		out, m := runChatter(t, g, Config{Engine: EngineStep, Seed: 11, Shards: shards})
 		if !reflect.DeepEqual(baseOut, out) {
 			t.Fatalf("shards=%d: results differ from shards=1", shards)
 		}
@@ -92,12 +93,12 @@ func TestShardCountInvariance(t *testing.T) {
 }
 
 // TestShardedInboxReuseSafe: the inbox returned by Step is valid until the
-// next Step call even though the sharded engine recycles buffers. A program
+// next Step call even though the step engine recycles buffers. A program
 // that reads its inbox as late as legally possible must see intact data.
 func TestShardedInboxReuseSafe(t *testing.T) {
 	g := graph.Path(8)
 	sums := make([]int64, g.N())
-	_, err := Run(g, Config{Engine: EngineSharded, Seed: 4}, func(env *Env) {
+	_, err := Run(g, Config{Engine: EngineStep, Seed: 4}, func(env *Env) {
 		var held Inbox
 		for r := 0; r < 20; r++ {
 			// Read the PREVIOUS round's inbox only now, just before Step.
@@ -123,12 +124,12 @@ func TestShardedInboxReuseSafe(t *testing.T) {
 }
 
 // TestShardedViolationsDeterministic: when several nodes exceed the strict
-// receive cap in the same round, the sharded engine must report the
+// receive cap in the same round, the step engine must report the
 // lowest-ID violator regardless of worker scheduling.
 func TestShardedViolationsDeterministic(t *testing.T) {
 	g := graph.Path(64)
 	for _, shards := range []int{1, 4, 16} {
-		_, err := Run(g, Config{Engine: EngineSharded, StrictRecvFactor: 1, Shards: shards}, func(env *Env) {
+		_, err := Run(g, Config{Engine: EngineStep, StrictRecvFactor: 1, Shards: shards}, func(env *Env) {
 			// Everyone floods both node 5 and node 50.
 			if env.ID() != 5 && env.ID() != 50 {
 				env.SendGlobal(5, 0, 0, 0, 0, 0)
@@ -147,9 +148,10 @@ func TestShardedViolationsDeterministic(t *testing.T) {
 }
 
 // TestEngineString pins the flag/benchmark labels and the default: the
-// zero Config runs EngineStep.
+// zero Config runs EngineStep. ParseEngine inverts String for the three
+// engines and rejects everything else.
 func TestEngineString(t *testing.T) {
-	want := map[Engine]string{EngineStep: "step", EngineSharded: "sharded", EngineLegacy: "legacy", EngineDist: "dist", Engine(99): "Engine(99)"}
+	want := map[Engine]string{EngineStep: "step", EngineLegacy: "legacy", EngineDist: "dist", Engine(99): "Engine(99)"}
 	for e, name := range want {
 		if e.String() != name {
 			t.Errorf("engine %d is named %q, want %q", int(e), e, name)
@@ -157,6 +159,40 @@ func TestEngineString(t *testing.T) {
 	}
 	if (Config{}).Engine != EngineStep {
 		t.Errorf("the zero Config runs %s, want step", Config{}.Engine)
+	}
+	for _, e := range []Engine{EngineStep, EngineLegacy, EngineDist} {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e, got, err, e)
+		}
+	}
+	for _, name := range []string{"sharded", "", "Step", "Engine(99)"} {
+		if _, err := ParseEngine(name); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown engine %q", name)) {
+			t.Errorf("ParseEngine(%q): err = %v, want unknown engine", name, err)
+		}
+	}
+}
+
+// TestUnknownEngineRejected: an Engine value outside the three is a
+// configuration error on both entry points, not a silent fallback.
+func TestUnknownEngineRejected(t *testing.T) {
+	g := graph.Path(4)
+	for _, eng := range []Engine{Engine(-1), Engine(3), Engine(99)} {
+		cfg := Config{Engine: eng}
+		ran := false
+		_, err := Run(g, cfg, func(env *Env) { ran = true })
+		if err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("Run with %v: err = %v, want unknown engine", eng, err)
+		}
+		_, err = RunStep(g, cfg, func(env *Env) StepProgram {
+			ran = true
+			return StepFunc(func(*Env) bool { return true })
+		})
+		if err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("RunStep with %v: err = %v, want unknown engine", eng, err)
+		}
+		if ran {
+			t.Errorf("engine %v ran a node program", eng)
+		}
 	}
 }
 
@@ -180,11 +216,10 @@ func benchEngineRounds(b *testing.B, eng Engine, traffic bool) {
 	}
 }
 
-// The barrier benchmarks isolate the round-boundary cost (no messages);
-// the traffic benchmarks add a broadcast plus one global message per node
-// per round, the regime where the sharded engine's reused inboxes and
-// bucketed delivery separate from the legacy coordinator.
-func BenchmarkEngineBarrierSharded(b *testing.B) { benchEngineRounds(b, EngineSharded, false) }
-func BenchmarkEngineBarrierLegacy(b *testing.B)  { benchEngineRounds(b, EngineLegacy, false) }
-func BenchmarkEngineTrafficSharded(b *testing.B) { benchEngineRounds(b, EngineSharded, true) }
-func BenchmarkEngineTrafficLegacy(b *testing.B)  { benchEngineRounds(b, EngineLegacy, true) }
+// The barrier benchmarks isolate the goroutine engine's round-boundary
+// cost (no messages); the traffic benchmarks add a broadcast plus one
+// global message per node per round, the regime where the legacy
+// coordinator's fresh inboxes cost the most. BenchmarkEngine*Step in
+// step_test.go runs the same workloads on the step engine.
+func BenchmarkEngineBarrierLegacy(b *testing.B) { benchEngineRounds(b, EngineLegacy, false) }
+func BenchmarkEngineTrafficLegacy(b *testing.B) { benchEngineRounds(b, EngineLegacy, true) }

@@ -59,10 +59,10 @@ func (env *Env) SendLocal(to int, payload interface{}) {
 }
 
 // stageLocal appends one local message to the engine-appropriate staging
-// area: the destination shard's bucket (sharded) or the flat outbox
+// area: the destination shard's bucket (step, dist) or the flat outbox
 // (legacy).
 func (env *Env) stageLocal(to int, payload interface{}) {
-	if env.eng.sharded {
+	if env.eng.stepMode {
 		k := env.eng.shardOf(to)
 		env.eng.dirty[k][env.id] = true
 		env.outLocalSh[k] = append(env.outLocalSh[k], localOut{to: to, payload: payload})
@@ -91,7 +91,7 @@ func (env *Env) SendGlobal(dst int, kind Kind, f0, f1, f2, f3 int64) {
 	}
 	env.globalSentThisRound++
 	m := GlobalMsg{Src: env.id, Dst: dst, Kind: kind, F0: f0, F1: f1, F2: f2, F3: f3}
-	if env.eng.sharded {
+	if env.eng.stepMode {
 		k := env.eng.shardOf(dst)
 		env.eng.dirty[k][env.id] = true
 		env.outGlobalSh[k] = append(env.outGlobalSh[k], m)
@@ -107,9 +107,8 @@ func (env *Env) GlobalBudget() int { return env.eng.sendCap - env.globalSentThis
 // Step ends the node's round: all staged messages are handed to the engine,
 // and the call blocks until every node has ended the round. It returns the
 // inbox of messages delivered for the next round. The returned slices are
-// owned by the caller until the next Step call; the sharded and step
-// engines reuse them afterwards, so programs must not retain them across
-// Steps. Under the step engine the call is legal only from a Program
+// owned by the caller until the next Step call; the step engine reuses
+// them afterwards, so programs must not retain them across Steps. Under the step engine the call is legal only from a Program
 // running through the goroutine-backed adapter — StepPrograms read
 // Incoming() instead and never block.
 func (env *Env) Step() Inbox {
@@ -129,10 +128,6 @@ func (env *Env) Step() Inbox {
 		panic(errAbort)
 	}
 	env.round++
-	if env.eng.sharded {
-		p := env.round & 1
-		return Inbox{Local: env.inLocalBuf[p], Global: env.inGlobalBuf[p]}
-	}
 	in := Inbox{Local: env.inLocal, Global: env.inGlobal}
 	env.inLocal = nil
 	env.inGlobal = nil

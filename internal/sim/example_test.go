@@ -11,7 +11,7 @@ import (
 // A StepProgram is a resumable state machine: one Step call runs one round
 // segment — read Env.Incoming, stage sends, report done — and never
 // blocks. RunStep executes it natively on the goroutine-free EngineStep
-// and through DriveProgram on the goroutine engines, with byte-identical
+// and through DriveProgram on the goroutine engine, with byte-identical
 // results either way. Here every node floods a token wave down a path with
 // a three-round sim.Loop.
 func ExampleRunStep() {

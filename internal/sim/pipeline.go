@@ -14,7 +14,7 @@ import "repro/internal/graph"
 type Pipeline[T any] struct {
 	// Run executes the algorithm collectively as a blocking Program at one
 	// node and returns that node's result. It is the form the goroutine
-	// engines (EngineSharded, EngineLegacy) execute.
+	// engine, EngineLegacy, executes.
 	Run func(env *Env) T
 
 	// Machine builds the node's algorithm as a resumable state machine and
@@ -25,14 +25,14 @@ type Pipeline[T any] struct {
 }
 
 // RunPipeline executes p on every node of g under cfg, dispatching on the
-// engine: the step-native machine form on EngineStep, the blocking closure
-// on the goroutine engines. It returns the per-node results indexed by
-// node ID, with Run's usual error contract.
+// engine: the step-native machine form on EngineStep and EngineDist, the
+// blocking closure on EngineLegacy. It returns the per-node results
+// indexed by node ID, with Run's usual error contract.
 func RunPipeline[T any](g *graph.Graph, cfg Config, p Pipeline[T]) ([]T, Metrics, error) {
 	out := make([]T, g.N())
 	var m Metrics
 	var err error
-	if cfg.Engine == EngineStep || cfg.Engine == EngineDist {
+	if cfg.Engine != EngineLegacy {
 		m, err = RunStep(g, cfg, func(env *Env) StepProgram {
 			id := env.ID()
 			return p.Machine(env, func(res T) { out[id] = res })

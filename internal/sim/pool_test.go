@@ -9,34 +9,35 @@ import (
 )
 
 // TestPoolSpinNeedsAProcPerShard pins when the worker pool polls instead of
-// parking: only under the step engine, and only when every shard has a P of
-// its own. A poller that shared its P with the goroutine it waits for
-// would delay that goroutine by the whole spin bound.
+// parking: only when every shard has a P and a CPU of its own. A poller
+// that shared its P or its CPU with the goroutine it waits for would delay
+// that goroutine by the whole spin bound.
 func TestPoolSpinNeedsAProcPerShard(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	g := graph.Grid(4, 4)
+	cpus := runtime.NumCPU()
+	g := graph.Path(16 * (cpus + 1)) // every case gets the shards it asks for
 	for _, tc := range []struct {
 		procs, shards int
-		step, spin    bool
+		spin          bool // when the machine has at least shards CPUs
 	}{
-		{procs: 2, shards: 2, step: true, spin: true},
-		{procs: 4, shards: 2, step: true, spin: true},
-		{procs: 1, shards: 2, step: true, spin: false},
-		{procs: 2, shards: 3, step: true, spin: false},
-		{procs: 2, shards: 2, step: false, spin: false},
-		{procs: 2, shards: 1, step: true, spin: false},
+		{procs: 2, shards: 2, spin: true},
+		{procs: 4, shards: 2, spin: true},
+		{procs: 1, shards: 2, spin: false},
+		{procs: 2, shards: 3, spin: false},
+		{procs: 2, shards: 1, spin: false},
+		// More Ps than CPUs: one shard per P would oversubscribe the CPUs.
+		{procs: cpus + 1, shards: cpus + 1, spin: false},
 	} {
 		runtime.GOMAXPROCS(tc.procs)
 		e, err := newEngine(g, Config{Shards: tc.shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.stepMode = tc.step
 		e.initSharded()
 		e.stopSharded()
-		if e.poolSpin != tc.spin {
-			t.Errorf("GOMAXPROCS=%d shards=%d step=%v: poolSpin=%v, want %v",
-				tc.procs, tc.shards, tc.step, e.poolSpin, tc.spin)
+		if want := tc.spin && tc.shards <= cpus; e.poolSpin != want {
+			t.Errorf("GOMAXPROCS=%d shards=%d NumCPU=%d: poolSpin=%v, want %v",
+				tc.procs, tc.shards, cpus, e.poolSpin, want)
 		}
 	}
 }

@@ -6,44 +6,43 @@ import (
 	"time"
 )
 
-// The sharded engine ("sim v2") keeps the node programs exactly as they are
-// — blocking goroutines multiplexed by the Go scheduler — and reworks
-// everything the engine itself does per round:
+// This file is the delivery path EngineStep and EngineDist share: the
+// shards, the worker pool, and the in-process round boundary that moves
+// staged messages into inboxes.
 //
 //   - The node set is split into contiguous shards. Every sender stages its
 //     outgoing messages into per-destination-shard buckets at send time, so
 //     round delivery never sorts or locks: the worker owning shard k drains
 //     bucket k of every sender in ascending sender ID, which reproduces the
 //     engine contract (inboxes ordered by sender ID, then send order)
-//     independently of the shard count.
-//   - Delivery runs on a persistent worker pool (at most GOMAXPROCS shards;
-//     the round loop's own goroutine takes shard 0 and one worker takes
-//     each further shard). Workers touch disjoint state: shard k's
-//     worker writes only the inboxes and receive counters of shard k's
-//     nodes and the k-buckets of the senders, so the merge of the per-shard
-//     metric deltas is the only cross-shard step, and it is a sum/max merge
-//     that is independent of completion order.
+//     independently of the shard count. (EngineDist hands the drained
+//     global buckets to its worker processes instead; see dist.go.)
+//   - Stepping and delivery run on a persistent worker pool (at most
+//     GOMAXPROCS shards; the round loop's own goroutine takes shard 0 and
+//     one worker takes each further shard). Workers touch disjoint state:
+//     shard k's worker writes only the inboxes and receive counters of
+//     shard k's nodes and the k-buckets of the senders, so the merge of the
+//     per-shard metric deltas is the only cross-shard step, and it is a
+//     sum/max merge that is independent of completion order.
 //   - Inboxes are preallocated and double-buffered: the buffer delivered at
 //     round r is reused at round r+2, so steady-state rounds allocate
-//     nothing. (Step's contract — the returned slices are owned by the
-//     caller until the next Step call — grants one round of ownership; the
-//     double buffer leaves an extra round of slack.)
+//     nothing. (The inbox contract — a node owns its inbox until its next
+//     round segment — grants one round of ownership; the double buffer
+//     leaves an extra round of slack.)
 //   - Senders that staged nothing for a shard are skipped via a dirty flag,
 //     so sparse rounds (the common case in delta-style flooding protocols)
 //     cost O(n) flag reads instead of O(n) slice scans per shard.
 //
-// The legacy engine (legacy deliver in sim.go) is kept verbatim as a
-// differential-testing oracle: for any program and seed, both engines must
+// EngineLegacy's delivery (deliver in sim.go) is kept verbatim as a
+// differential-testing oracle: for any program and seed, every engine must
 // produce byte-identical results and Metrics. engines_test.go enforces this.
 
-// shardTask is one unit of worker-pool work: deliver shard k (the default),
-// advance the state machines of shard k's nodes by one round (step), or
-// join the work-stealing batch pool of a step generation (step+batch); see
-// step.go.
+// shardTask is one unit of worker-pool work: deliver shard k (the default)
+// or advance the state machines of shard k's nodes by one round (step);
+// see step.go.
 type shardTask struct {
-	k     int
-	step  bool
-	batch bool
+	k    int
+	step bool
 }
 
 // shardResult is one worker's metric delta for one round. Merging the
@@ -74,7 +73,6 @@ const minShardNodes = 64
 // results (the differential tests pin shard-count invariance), only the
 // parallel grain.
 func (e *engine) initSharded() {
-	e.sharded = true
 	s := e.cfg.Shards
 	if e.distMode {
 		// One worker process per shard: under EngineDist the shard count IS
@@ -104,15 +102,6 @@ func (e *engine) initSharded() {
 	for k := range e.dirty {
 		e.dirty[k] = make([]bool, e.n)
 	}
-	e.stepBatch = e.cfg.StepBatch
-	if e.stepBatch < 0 {
-		// Autotune: batches of a quarter shard amortize the cursor
-		// contention while leaving enough batches to rebalance skew.
-		e.stepBatch = e.shardSize / 4
-		if e.stepBatch < 32 {
-			e.stepBatch = 32
-		}
-	}
 	for _, env := range e.envs {
 		env.outLocalSh = make([][]localOut, e.nShards)
 		env.outGlobalSh = make([][]GlobalMsg, e.nShards)
@@ -120,7 +109,10 @@ func (e *engine) initSharded() {
 	if e.nShards > 1 {
 		// The round loop runs shard 0 itself, so the pool has one worker
 		// per further shard, and neither side ever blocks on a send.
-		e.poolSpin = e.stepMode && e.nShards <= runtime.GOMAXPROCS(0)
+		// Polling needs a P and a CPU per shard: with GOMAXPROCS above
+		// the CPU count, spinning threads take the CPU time of the ones
+		// doing the round's work.
+		e.poolSpin = e.nShards <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 		e.workCh = make(chan shardTask, e.nShards-1)
 		e.resCh = make(chan shardResult, e.nShards-1)
 		for w := 1; w < e.nShards; w++ {
@@ -130,14 +122,10 @@ func (e *engine) initSharded() {
 					if !ok {
 						return
 					}
-					switch {
-					case t.step && t.batch:
-						e.stepBatches()
-						e.resCh <- shardResult{}
-					case t.step:
+					if t.step {
 						e.stepShard(t.k)
 						e.resCh <- shardResult{}
-					default:
+					} else {
 						e.resCh <- e.runShard(t.k)
 					}
 				}
@@ -146,10 +134,10 @@ func (e *engine) initSharded() {
 	}
 }
 
-// poolSpinWait is how long a step-engine pool member that has nothing to
-// do polls its channel before it parks. Step round segments are short, so
-// a member that parked between segments put an OS thread wake-up on every
-// round's critical path, and how long a wake-up takes depends on the host
+// poolSpinWait is how long a pool member that has nothing to do polls its
+// channel before it parks. Step round segments are short, so a member that
+// parked between segments put an OS thread wake-up on every round's
+// critical path, and how long a wake-up takes depends on the host
 // (on a VM, on whether the idle vCPU was halted), not on the run. Polling
 // across the gap keeps the threads running; a longer gap (set-up between
 // phases, the end of a run) still parks after this bound.
@@ -157,8 +145,8 @@ const poolSpinWait = 200 * time.Microsecond
 
 // poolRecv receives from a pool channel; with spin it polls for up to
 // poolSpinWait before blocking. Spinning is only enabled when every shard
-// has a P of its own (engine.poolSpin), so a poller never holds the P the
-// goroutine it waits for needs.
+// has a P and a CPU of its own (engine.poolSpin), so a poller never holds
+// the P or the CPU the goroutine it waits for needs.
 func poolRecv[T any](ch chan T, spin bool) (v T, ok bool) {
 	if spin {
 		for start := time.Now(); time.Since(start) < poolSpinWait; {
@@ -182,7 +170,7 @@ func (e *engine) stopSharded() {
 
 func (e *engine) shardOf(v int) int { return v / e.shardSize }
 
-// deliverSharded is the v2 round boundary: fan the shards out to the
+// deliverSharded is the in-process round boundary: fan the shards out to the
 // workers, merge their metric deltas, and return how many nodes finished.
 func (e *engine) deliverSharded() int {
 	e.generation++

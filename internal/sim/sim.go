@@ -19,36 +19,31 @@
 //
 // # Engines
 //
-// Four interchangeable round engines implement the barrier and delivery;
+// Three interchangeable round engines implement the barrier and delivery;
 // Config.Engine selects one.
 //
-// EngineStep (the default, "sim v3") runs each node as a StepProgram with
-// no per-node goroutine: the engine's round loop iterates the machines in
-// shard-parallel batches and then runs the sharded delivery path — the
-// loop IS the barrier, so rounds cost zero scheduler wake/park cycles.
-// A finished Chain, Sequence or Loop drops the closures it holds, so a
-// phase's scratch is collectable once the phase ends. Programs without a
-// step port run on it through a goroutine-backed adapter. See step.go and
-// RunStep.
-//
-// EngineSharded ("sim v2") runs each Program as a goroutine and splits
-// the node set into contiguous shards, at most GOMAXPROCS of them.
-// Senders stage outgoing messages into per-destination-shard buckets as
-// they send, and at the round boundary a persistent worker pool drains
-// the buckets shard by shard — each worker owns the inboxes, receive
-// counters, and metric deltas of exactly one shard, so delivery is
-// lock-free and scales with cores. Inboxes are preallocated and
+// EngineStep (the default) runs each node as a StepProgram with no
+// per-node goroutine: the engine's round loop steps the machines shard by
+// shard and then runs the sharded delivery path — the loop IS the barrier,
+// so rounds cost zero scheduler wake/park cycles. The node set is split
+// into contiguous shards; senders stage outgoing messages into
+// per-destination-shard buckets as they send, and at the round boundary a
+// persistent worker pool drains the buckets shard by shard — each worker
+// owns the inboxes, receive counters, and metric deltas of exactly one
+// shard, so delivery is lock-free. Inboxes are preallocated and
 // double-buffered so steady-state rounds allocate nothing, and senders
-// that staged nothing are skipped via dirty flags (sparse rounds are the
-// common case in delta-style flooding). See sharded.go. EngineStep reuses
-// this delivery path.
+// that staged nothing are skipped via dirty flags. A finished Chain,
+// Sequence or Loop drops the closures it holds, so a phase's scratch is
+// collectable once the phase ends. Programs without a step port run on it
+// through a goroutine-backed adapter. See step.go, sharded.go and RunStep.
 //
 // EngineDist is EngineStep with global-mode delivery routed through
 // worker OS processes; see dist.go.
 //
-// EngineLegacy is the original engine: a single coordinator goroutine
-// drains every node's flat outbox in node-ID order with freshly allocated
-// inboxes each round. It is retained as the differential-testing oracle.
+// EngineLegacy is the original engine: every Program runs as a goroutine,
+// and a single coordinator drains every node's flat outbox in node-ID
+// order with freshly allocated inboxes each round. It is retained as the
+// differential-testing oracle.
 //
 // # Determinism
 //
@@ -75,6 +70,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -144,15 +141,12 @@ const (
 	// resumable state machine (StepProgram) with no per-node goroutine:
 	// the engine's round loop IS the barrier, so rounds cost zero
 	// scheduler wake/park cycles. Legacy Programs run on it through a
-	// goroutine-backed adapter; step-native programs run on the goroutine
-	// engines through DriveProgram. See step.go and RunStep.
+	// goroutine-backed adapter; step-native programs run on EngineLegacy
+	// through DriveProgram. See step.go and RunStep.
 	EngineStep Engine = iota
-	// EngineSharded runs node programs as goroutines synchronized at the
-	// round barrier, with per-shard staging buckets, worker-pool delivery
-	// and reused double-buffered inboxes.
-	EngineSharded
 	// EngineLegacy is the original goroutine-per-node engine with a single
-	// delivery coordinator, kept as a differential-testing oracle.
+	// delivery coordinator, kept as a differential-testing oracle. It is
+	// the only engine that runs a Program natively; see Run.
 	EngineLegacy
 	// EngineDist is the step engine with global-mode delivery routed
 	// through per-shard worker OS processes over a wire protocol (unix
@@ -170,8 +164,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineStep:
 		return "step"
-	case EngineSharded:
-		return "sharded"
 	case EngineLegacy:
 		return "legacy"
 	case EngineDist:
@@ -179,6 +171,17 @@ func (e Engine) String() string {
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
+}
+
+// ParseEngine is the inverse of Engine.String: it maps a flag value
+// ("step", "legacy", "dist") to its Engine and rejects anything else.
+func ParseEngine(name string) (Engine, error) {
+	for _, e := range []Engine{EngineStep, EngineLegacy, EngineDist} {
+		if e.String() == name {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q (want step, legacy or dist)", name)
 }
 
 // Config controls model parameters and instrumentation.
@@ -190,24 +193,12 @@ type Config struct {
 	// produce identical results and Metrics for identical seeds.
 	Engine Engine
 
-	// Shards overrides the sharded engine's shard count. Zero (the
+	// Shards overrides the step engine's shard count. Zero (the
 	// default) autotunes: one shard per available CPU, capped so every
 	// shard keeps enough nodes to amortize the per-round fan-out (see
 	// initSharded). Results are independent of the value; it exists for
 	// tuning and for determinism tests across shard counts.
 	Shards int
-
-	// StepBatch controls how the step engine distributes a round's machine
-	// calls across the worker pool when more than one shard is active.
-	// Zero (the default) assigns each worker its whole shard; a positive
-	// value switches to work-stealing batches of that many nodes, which
-	// rebalances rounds whose active nodes cluster in few shards; a
-	// negative value autotunes the batch width from the shard size.
-	// Results are independent of the value (senders stage into per-shard
-	// buckets and delivery drains them in ascending sender ID regardless
-	// of who stepped the sender); the randomized differential tests draw
-	// it alongside Shards to enforce that.
-	StepBatch int
 
 	// DistWorkers sets how many worker processes EngineDist spawns; the
 	// distributed engine runs one shard per worker, so this replaces the
@@ -295,11 +286,29 @@ type Metrics struct {
 
 // Log2Ceil returns ceil(log2 n), at least 1.
 func Log2Ceil(n int) int {
-	l := 1
-	for (1 << l) < n {
-		l++
+	if n <= 2 {
+		return 1
 	}
-	return l
+	return bits.Len(uint(n - 1))
+}
+
+// SqrtCeil returns ceil(sqrt(n)), the smallest s with s*s >= n (0 for
+// n <= 0). Squares are taken in uint64, where they cannot overflow for
+// any s near sqrt(math.MaxInt).
+func SqrtCeil(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	u := uint64(n)
+	// The float estimate can be off by one either way for n above 2^52.
+	s := uint64(math.Sqrt(float64(u)))
+	for s*s > u {
+		s--
+	}
+	for s*s < u {
+		s++
+	}
+	return int(s)
 }
 
 // errAbort is the sentinel used to unwind node goroutines after an abort.
@@ -346,8 +355,8 @@ type engine struct {
 	generation int
 	metrics    Metrics
 
-	// Sharded-engine state (nil/zero under EngineLegacy); see sharded.go.
-	sharded   bool
+	// Sharded delivery state of the step engine (nil/zero under
+	// EngineLegacy); see sharded.go.
 	nShards   int
 	shardSize int
 	recvCount []int
@@ -361,8 +370,6 @@ type engine struct {
 	progs      []StepProgram
 	adGroups   []*adapterGroup // per-shard adapter multiplexers, nil entries for all-native shards
 	stepActive int             // unfinished nodes in the current step run
-	stepBatch  int             // resolved work-stealing batch width, 0 = whole-shard tasks
-	stepCursor atomic.Int64    // next node to claim in a batched step generation
 
 	// Distributed-engine state (nil unless EngineDist); see dist.go.
 	distMode   bool
@@ -387,7 +394,7 @@ type Env struct {
 	inLocal  []LocalMsg
 	inGlobal []GlobalMsg
 
-	// Sharded-engine staging: per-destination-shard buckets and
+	// Step-engine staging: per-destination-shard buckets and
 	// double-buffered reused inboxes (see sharded.go).
 	outLocalSh  [][]localOut
 	outGlobalSh [][]GlobalMsg
@@ -395,8 +402,8 @@ type Env struct {
 	inGlobalBuf [2][]GlobalMsg
 
 	// Step-engine state: the inbox of the round being executed (set by the
-	// engine before each StepProgram.Step call, or by DriveProgram under the
-	// goroutine engines) and the adapter handle when this node runs a legacy
+	// engine before each StepProgram.Step call, or by DriveProgram under
+	// EngineLegacy) and the adapter handle when this node runs a legacy
 	// Program on the step engine (see step.go).
 	curInbox Inbox
 	adapter  *programAdapter
@@ -414,6 +421,11 @@ type localOut struct {
 // newEngine validates cfg, applies defaults, and builds the engine and the
 // per-node Envs. A nil engine with a nil error means the run is empty.
 func newEngine(g *graph.Graph, cfg Config) (*engine, error) {
+	switch cfg.Engine {
+	case EngineStep, EngineLegacy, EngineDist:
+	default:
+		return nil, fmt.Errorf("sim: unknown engine %v", cfg.Engine)
+	}
 	n := g.N()
 	if n == 0 {
 		return nil, nil
@@ -455,11 +467,12 @@ func newEngine(g *graph.Graph, cfg Config) (*engine, error) {
 // Run executes program on every node of g under cfg and returns the
 // collected metrics. It returns an error if any node violated the model
 // (illegal local destination, global send cap exceeded), if the run hit
-// MaxRounds, or if a program panicked. Under EngineStep the program runs
-// through the goroutine-backed adapter (see step.go); results and Metrics
-// are identical on every engine for a fixed seed.
+// MaxRounds, or if a program panicked. Only EngineLegacy runs the program
+// natively; every other engine runs it through the goroutine-backed
+// adapter (see step.go). Results and Metrics are identical on every engine
+// for a fixed seed.
 func Run(g *graph.Graph, cfg Config, program Program) (Metrics, error) {
-	if cfg.Engine == EngineStep || cfg.Engine == EngineDist {
+	if cfg.Engine != EngineLegacy {
 		return RunStep(g, cfg, AdaptProgram(program))
 	}
 	eng, err := newEngine(g, cfg)
@@ -467,10 +480,6 @@ func Run(g *graph.Graph, cfg Config, program Program) (Metrics, error) {
 		return Metrics{}, err
 	}
 	n := eng.n
-	if cfg.Engine != EngineLegacy {
-		eng.initSharded()
-		defer eng.stopSharded()
-	}
 
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -521,19 +530,13 @@ func (e *engine) fail(err error) {
 	e.aborted.Store(true)
 }
 
-// coordinate runs the barrier loop: wait for all active nodes, deliver
-// messages, advance the round.
+// coordinate runs EngineLegacy's barrier loop: wait for all active nodes,
+// deliver messages, advance the round.
 func (e *engine) coordinate() {
 	active := e.n
 	for {
 		<-e.ready
-		var finishedNow int
-		if e.sharded {
-			finishedNow = e.deliverSharded()
-		} else {
-			finishedNow = e.deliver()
-		}
-		active -= finishedNow
+		active -= e.deliver()
 		if e.generation >= e.cfg.MaxRounds {
 			e.fail(fmt.Errorf("%w (%d)", ErrTooManyRounds, e.cfg.MaxRounds))
 		}

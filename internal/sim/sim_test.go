@@ -10,33 +10,34 @@ import (
 	"repro/internal/graph"
 )
 
-// runEngines are the engines that execute a goroutine Program through Run.
-// The zero Config selects EngineStep only, so tests of Run's contract name
-// each engine explicitly to keep the goroutine paths covered.
-var runEngines = []Engine{EngineLegacy, EngineSharded, EngineStep}
-
-// forEngines runs f once per engine in runEngines, each as a subtest.
-func forEngines(t *testing.T, f func(t *testing.T, eng Engine)) {
-	t.Helper()
-	for _, eng := range runEngines {
-		t.Run(eng.String(), func(t *testing.T) { f(t, eng) })
-	}
+// runEngines are the configurations that execute a goroutine Program
+// through Run. The zero Config selects EngineStep, so tests of Run's
+// contract name each engine explicitly to keep the legacy goroutine path
+// covered. On these small graphs the step engine autotunes to one shard,
+// so "sharded" runs it with several: the shard pool, per-shard adapter
+// groups and cross-shard delivery.
+var runEngines = []struct {
+	name   string
+	eng    Engine
+	shards int
+}{
+	{"legacy", EngineLegacy, 0},
+	{"step", EngineStep, 0},
+	{"sharded", EngineStep, 3},
 }
 
-func TestLog2Ceil(t *testing.T) {
-	tests := []struct{ n, want int }{
-		{0, 1}, {1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {1024, 10}, {1025, 11},
-	}
-	for _, tt := range tests {
-		if got := Log2Ceil(tt.n); got != tt.want {
-			t.Fatalf("Log2Ceil(%d) = %d, want %d", tt.n, got, tt.want)
-		}
+// forEngines runs f once per configuration in runEngines, each as a
+// subtest; f passes eng and shards into its Config.
+func forEngines(t *testing.T, f func(t *testing.T, eng Engine, shards int)) {
+	t.Helper()
+	for _, re := range runEngines {
+		t.Run(re.name, func(t *testing.T) { f(t, re.eng, re.shards) })
 	}
 }
 
 func TestEmptyGraphRun(t *testing.T) {
-	forEngines(t, func(t *testing.T, eng Engine) {
-		m, err := Run(graph.New(0), Config{Engine: eng}, func(env *Env) {})
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		m, err := Run(graph.New(0), Config{Engine: eng, Shards: shards}, func(env *Env) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,9 +48,9 @@ func TestEmptyGraphRun(t *testing.T) {
 }
 
 func TestSingleNodeNoSteps(t *testing.T) {
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		ran := false
-		m, err := Run(graph.New(1), Config{Engine: eng}, func(env *Env) { ran = true })
+		m, err := Run(graph.New(1), Config{Engine: eng, Shards: shards}, func(env *Env) { ran = true })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +65,8 @@ func TestSingleNodeNoSteps(t *testing.T) {
 
 func TestRoundCountMatchesSteps(t *testing.T) {
 	const steps = 7
-	forEngines(t, func(t *testing.T, eng Engine) {
-		m, err := Run(graph.Path(5), Config{Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		m, err := Run(graph.Path(5), Config{Engine: eng, Shards: shards}, func(env *Env) {
 			for i := 0; i < steps; i++ {
 				env.Step()
 			}
@@ -82,8 +83,8 @@ func TestRoundCountMatchesSteps(t *testing.T) {
 func TestUnevenStepCounts(t *testing.T) {
 	// Node 0 steps 10 times, everyone else 3: rounds = 10 and the run
 	// terminates.
-	forEngines(t, func(t *testing.T, eng Engine) {
-		m, err := Run(graph.Path(4), Config{Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		m, err := Run(graph.Path(4), Config{Engine: eng, Shards: shards}, func(env *Env) {
 			steps := 3
 			if env.ID() == 0 {
 				steps = 10
@@ -108,9 +109,9 @@ func TestLocalFloodBFS(t *testing.T) {
 	g := graph.Grid(5, 6)
 	n := g.N()
 	want := graph.BFS(g, 0)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		dist := make([]int64, n)
-		_, err := Run(g, Config{Seed: 1, Engine: eng}, func(env *Env) {
+		_, err := Run(g, Config{Seed: 1, Engine: eng, Shards: shards}, func(env *Env) {
 			const rounds = 10 // >= diameter of 5x6 grid (9)
 			my := int64(graph.Inf)
 			if env.ID() == 0 {
@@ -145,10 +146,10 @@ func TestGlobalMessageDelivery(t *testing.T) {
 	// receive exactly one, from (id-1) mod n, with intact fields.
 	const n = 16
 	g := graph.Path(n)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		got := make([]GlobalMsg, n)
 		counts := make([]int, n)
-		m, err := Run(g, Config{Seed: 2, Engine: eng}, func(env *Env) {
+		m, err := Run(g, Config{Seed: 2, Engine: eng, Shards: shards}, func(env *Env) {
 			dst := (env.ID() + 1) % n
 			env.SendGlobal(dst, 7, int64(env.ID()), 100, -3, 42)
 			in := env.Step()
@@ -181,8 +182,8 @@ func TestGlobalMessageDelivery(t *testing.T) {
 
 func TestGlobalSendCapEnforced(t *testing.T) {
 	g := graph.Path(8) // logN = 3, cap = 3 with factor 1
-	forEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(g, Config{Seed: 3, Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		_, err := Run(g, Config{Seed: 3, Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID() == 0 {
 				for i := 0; i < env.GlobalCap()+1; i++ {
 					env.SendGlobal(1, 0, 0, 0, 0, 0)
@@ -198,8 +199,8 @@ func TestGlobalSendCapEnforced(t *testing.T) {
 
 func TestGlobalSendCapFactor(t *testing.T) {
 	g := graph.Path(8)
-	forEngines(t, func(t *testing.T, eng Engine) {
-		m, err := Run(g, Config{Seed: 3, GlobalSendFactor: 4, Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		m, err := Run(g, Config{Seed: 3, GlobalSendFactor: 4, Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID() == 0 {
 				for i := 0; i < env.GlobalCap(); i++ {
 					env.SendGlobal(1, 0, 0, 0, 0, 0)
@@ -218,8 +219,8 @@ func TestGlobalSendCapFactor(t *testing.T) {
 
 func TestGlobalBudget(t *testing.T) {
 	g := graph.Path(4)
-	forEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(g, Config{Seed: 1, Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		_, err := Run(g, Config{Seed: 1, Engine: eng, Shards: shards}, func(env *Env) {
 			cap0 := env.GlobalBudget()
 			env.SendGlobal(0, 0, 0, 0, 0, 0)
 			if env.GlobalBudget() != cap0-1 {
@@ -238,8 +239,8 @@ func TestGlobalBudget(t *testing.T) {
 
 func TestLocalNonNeighborRejected(t *testing.T) {
 	g := graph.Path(5) // 0 and 4 are not adjacent
-	forEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(g, Config{Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		_, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID() == 0 {
 				env.SendLocal(4, "x")
 			}
@@ -253,8 +254,8 @@ func TestLocalNonNeighborRejected(t *testing.T) {
 
 func TestInvalidGlobalDestination(t *testing.T) {
 	g := graph.Path(3)
-	forEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(g, Config{Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		_, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID() == 0 {
 				env.SendGlobal(99, 0, 0, 0, 0, 0)
 			}
@@ -268,8 +269,8 @@ func TestInvalidGlobalDestination(t *testing.T) {
 
 func TestProgramPanicCaptured(t *testing.T) {
 	g := graph.Path(3)
-	forEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(g, Config{Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		_, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			env.Step()
 			if env.ID() == 1 {
 				panic("boom")
@@ -286,8 +287,8 @@ func TestProgramPanicCaptured(t *testing.T) {
 
 func TestMaxRoundsGuard(t *testing.T) {
 	g := graph.Path(2)
-	forEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(g, Config{MaxRounds: 50, Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		_, err := Run(g, Config{MaxRounds: 50, Engine: eng, Shards: shards}, func(env *Env) {
 			for { // would loop forever without the guard
 				env.Step()
 			}
@@ -302,8 +303,8 @@ func TestStrictRecvEnforcement(t *testing.T) {
 	// All n-1 nodes target node 0 in one round: receive load n-1 exceeds
 	// any log factor for n = 64.
 	g := graph.Path(64)
-	forEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(g, Config{StrictRecvFactor: 1, Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		_, err := Run(g, Config{StrictRecvFactor: 1, Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID() != 0 {
 				env.SendGlobal(0, 0, 0, 0, 0, 0)
 			}
@@ -317,8 +318,8 @@ func TestStrictRecvEnforcement(t *testing.T) {
 
 func TestRecvLoadRecordedWithoutStrict(t *testing.T) {
 	g := graph.Path(64)
-	forEngines(t, func(t *testing.T, eng Engine) {
-		m, err := Run(g, Config{Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		m, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID() != 0 {
 				env.SendGlobal(0, 0, 0, 0, 0, 0)
 			}
@@ -342,8 +343,8 @@ func TestCutAccounting(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cut[i] = true
 	}
-	forEngines(t, func(t *testing.T, eng Engine) {
-		m, err := Run(g, Config{Cut: cut, Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		m, err := Run(g, Config{Cut: cut, Engine: eng, Shards: shards}, func(env *Env) {
 			env.SendGlobal((env.ID()+4)%8, 0, 0, 0, 0, 0)
 			if env.ID() == 3 {
 				env.SendLocal(4, "local crossing, not counted")
@@ -363,8 +364,8 @@ func TestCutAccounting(t *testing.T) {
 }
 
 func TestCutSizeMismatch(t *testing.T) {
-	forEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(graph.Path(4), Config{Cut: []bool{true}, Engine: eng}, func(env *Env) {})
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		_, err := Run(graph.Path(4), Config{Cut: []bool{true}, Engine: eng, Shards: shards}, func(env *Env) {})
 		if err == nil {
 			t.Fatal("want error for mismatched cut size")
 		}
@@ -372,11 +373,11 @@ func TestCutSizeMismatch(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		run := func() []int64 {
 			g := graph.Grid(4, 4)
 			out := make([]int64, g.N())
-			_, err := Run(g, Config{Seed: 99, Engine: eng}, func(env *Env) {
+			_, err := Run(g, Config{Seed: 99, Engine: eng, Shards: shards}, func(env *Env) {
 				acc := int64(0)
 				for r := 0; r < 5; r++ {
 					tgt := env.Rand().Intn(env.N())
@@ -404,9 +405,9 @@ func TestDeterminism(t *testing.T) {
 
 func TestPublicRandShared(t *testing.T) {
 	g := graph.Path(6)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		vals := make([]uint64, 6)
-		_, err := Run(g, Config{Seed: 5, Engine: eng}, func(env *Env) {
+		_, err := Run(g, Config{Seed: 5, Engine: eng, Shards: shards}, func(env *Env) {
 			vals[env.ID()] = env.PublicRand("coin").Uint64()
 		})
 		if err != nil {
@@ -422,9 +423,9 @@ func TestPublicRandShared(t *testing.T) {
 
 func TestPerNodeRandDiffers(t *testing.T) {
 	g := graph.Path(6)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		vals := make([]uint64, 6)
-		_, err := Run(g, Config{Seed: 5, Engine: eng}, func(env *Env) {
+		_, err := Run(g, Config{Seed: 5, Engine: eng, Shards: shards}, func(env *Env) {
 			vals[env.ID()] = env.Rand().Uint64()
 		})
 		if err != nil {
@@ -446,9 +447,9 @@ func TestEarlyFinishersDoNotBlock(t *testing.T) {
 	// Half the nodes finish immediately; the others exchange messages for
 	// several rounds. The run must terminate and deliver correctly.
 	g := graph.Complete(10)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		var survived int32
-		_, err := Run(g, Config{Seed: 8, Engine: eng}, func(env *Env) {
+		_, err := Run(g, Config{Seed: 8, Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID()%2 == 0 {
 				return
 			}
@@ -470,9 +471,9 @@ func TestEarlyFinishersDoNotBlock(t *testing.T) {
 func TestInboxOrderingDeterministic(t *testing.T) {
 	// Global inbox is ordered by sender ID.
 	g := graph.Path(8)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		var order []int
-		_, err := Run(g, Config{Engine: eng}, func(env *Env) {
+		_, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID() != 0 {
 				env.SendGlobal(0, 0, int64(env.ID()), 0, 0, 0)
 			}
@@ -499,8 +500,8 @@ func TestInboxOrderingDeterministic(t *testing.T) {
 
 func TestMessageBitsAreLogarithmic(t *testing.T) {
 	g := graph.Path(1024)
-	forEngines(t, func(t *testing.T, eng Engine) {
-		m, err := Run(g, Config{Engine: eng}, func(env *Env) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
+		m, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			if env.ID() == 0 {
 				env.SendGlobal(1, 0, 0, 0, 0, 0)
 			}
@@ -554,10 +555,10 @@ func BenchmarkGlobalTraffic(b *testing.B) {
 
 func TestSharedOnceSingleEvaluation(t *testing.T) {
 	g := graph.Path(8)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		var evals int32
 		vals := make([]int, 8)
-		_, err := Run(g, Config{Engine: eng}, func(env *Env) {
+		_, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			v := env.SharedOnce("test", func() interface{} {
 				atomic.AddInt32(&evals, 1)
 				return 42
@@ -582,11 +583,11 @@ func TestSharedOncePerCallSequence(t *testing.T) {
 	// The i-th call with a prefix resolves to the i-th shared value, so
 	// successive collective calls get fresh objects.
 	g := graph.Path(4)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		firsts := make([]int, 4)
 		seconds := make([]int, 4)
 		var counter int32
-		_, err := Run(g, Config{Engine: eng}, func(env *Env) {
+		_, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			mk := func() interface{} { return int(atomic.AddInt32(&counter, 1)) }
 			firsts[env.ID()] = env.SharedOnce("seq", mk).(int)
 			env.Step()
@@ -608,9 +609,9 @@ func TestSharedOncePerCallSequence(t *testing.T) {
 
 func TestSharedOnceDistinctPrefixes(t *testing.T) {
 	g := graph.Path(3)
-	forEngines(t, func(t *testing.T, eng Engine) {
+	forEngines(t, func(t *testing.T, eng Engine, shards int) {
 		var got [2]int
-		_, err := Run(g, Config{Engine: eng}, func(env *Env) {
+		_, err := Run(g, Config{Engine: eng, Shards: shards}, func(env *Env) {
 			a := env.SharedOnce("pa", func() interface{} { return 1 }).(int)
 			b := env.SharedOnce("pb", func() interface{} { return 2 }).(int)
 			if env.ID() == 0 {

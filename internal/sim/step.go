@@ -7,11 +7,11 @@ import (
 	"repro/internal/graph"
 )
 
-// This file implements EngineStep ("sim v3"), the goroutine-free round
-// engine, and the StepProgram execution model it runs.
+// This file implements EngineStep, the goroutine-free round engine, and the
+// StepProgram execution model it runs.
 //
-// The goroutine engines (legacy, sharded) execute each node's Program as a
-// blocking goroutine and synchronize them at a barrier inside Env.Step.
+// The goroutine engine (EngineLegacy) executes each node's Program as a
+// blocking goroutine and synchronizes them at a barrier inside Env.Step.
 // That is maximally convenient to program against, but it puts two
 // scheduler wake/park cycles on every (node, round) pair: at n = 16384 the
 // barrier alone costs ~0.4µs/node/round and dominates APSP wall clock.
@@ -21,9 +21,9 @@ import (
 // loop IS the barrier —
 //
 //	for every round:
-//	    for every unfinished node (in shard-parallel batches):
+//	    for every unfinished node (shard-parallel):
 //	        install the node's inbox; run its StepProgram.Step
-//	    deliver staged messages (the sharded engine's delivery path)
+//	    deliver staged messages (the sharded delivery path, sharded.go)
 //
 // No node blocks, so no node ever parks or wakes: a round costs one
 // function call per node plus delivery.
@@ -53,17 +53,18 @@ import (
 //
 // # Compatibility across engines
 //
-// Both program models run on all three engines:
+// Both program models run on every engine:
 //
-//   - A Program runs on EngineStep through a goroutine-backed adapter
-//     (AdaptProgram): the program keeps its blocking style and yields to
-//     the engine loop at every Env.Step. This keeps every algorithm working
-//     on every engine, at roughly the goroutine engines' per-round cost.
-//   - A StepProgram runs on the goroutine engines through DriveProgram,
-//     which replays the engine loop's install-inbox/step cycle inside the
-//     node's goroutine.
+//   - A Program runs on EngineStep and EngineDist through a goroutine-backed
+//     adapter (AdaptProgram): the program keeps its blocking style and
+//     yields to the engine loop at every Env.Step. This keeps every
+//     algorithm working on every engine, at roughly the goroutine engine's
+//     per-round cost.
+//   - A StepProgram runs on EngineLegacy through DriveProgram, which
+//     replays the engine loop's install-inbox/step cycle inside the node's
+//     goroutine.
 //
-// Either way, for a fixed seed all three engines produce byte-identical
+// Either way, for a fixed seed every engine produces byte-identical
 // results and Metrics; the differential tests (engines_test.go here and at
 // the repository root) enforce this across the execution-model matrix.
 
@@ -195,10 +196,10 @@ func (l *Loop) Step(env *Env) bool {
 	return false
 }
 
-// DriveProgram runs a StepProgram to completion on a goroutine engine by
+// DriveProgram runs a StepProgram to completion on the goroutine engine by
 // replaying the step engine's install-inbox/step cycle inside the node's
 // Program goroutine. It is how step-native algorithms stay runnable (and
-// differentially testable) on EngineLegacy and EngineSharded.
+// differentially testable) on EngineLegacy.
 func DriveProgram(env *Env, sp StepProgram) {
 	env.curInbox = Inbox{}
 	for !sp.Step(env) {
@@ -207,7 +208,7 @@ func DriveProgram(env *Env, sp StepProgram) {
 }
 
 // AsProgram converts a StepFactory into a Program for the goroutine
-// engines.
+// engine.
 func AsProgram(factory StepFactory) Program {
 	return func(env *Env) {
 		DriveProgram(env, factory(env))
@@ -265,7 +266,7 @@ type programAdapter struct {
 // shard worker swaps-and-closes the group's release channel, waking every
 // parked program at once, and the last member to finish its round segment
 // signals done. The members' round segments therefore run concurrently —
-// exactly as the goroutine engines run all programs concurrently, so any
+// exactly as the goroutine engine runs all programs concurrently, so any
 // program correct there is correct here — while the shard worker steps its
 // native machines inline and then waits for the group.
 type adapterGroup struct {
@@ -342,7 +343,7 @@ func (a *programAdapter) Step(env *Env) bool {
 }
 
 // run executes the program on its own goroutine, mirroring the goroutine
-// engines' panic handling. Group-driven members report completion to their
+// engine's panic handling. Group-driven members report completion to their
 // group; per-node adapters yield to the engine's Step call.
 func (a *programAdapter) run(env *Env) {
 	defer func() {
@@ -365,7 +366,7 @@ func (a *programAdapter) run(env *Env) {
 // round segment to the engine loop and park until the next round's inbox is
 // installed. Group-driven members arrive at the group barrier and park on
 // the shared release channel (loaded before arriving, exactly like the
-// goroutine engines' barrier); per-node adapters use the resume/yield
+// goroutine engine's barrier); per-node adapters use the resume/yield
 // protocol.
 func (a *programAdapter) await(env *Env) Inbox {
 	if env.eng.aborted.Load() {
@@ -390,12 +391,12 @@ func (a *programAdapter) await(env *Env) Inbox {
 
 // RunStep executes one StepProgram per node of g under cfg and returns the
 // collected metrics; it is to StepPrograms what Run is to Programs, with
-// the same error contract. Under EngineStep the machines run natively on
-// the goroutine-free loop; under the goroutine engines they run through
-// DriveProgram, so callers can hold one code path and still select any
-// engine.
+// the same error contract. Under EngineStep and EngineDist the machines
+// run natively on the goroutine-free loop; under EngineLegacy they run
+// through DriveProgram, so callers can hold one code path and still select
+// any engine.
 func RunStep(g *graph.Graph, cfg Config, factory StepFactory) (Metrics, error) {
-	if cfg.Engine != EngineStep && cfg.Engine != EngineDist {
+	if cfg.Engine == EngineLegacy {
 		return Run(g, cfg, AsProgram(factory))
 	}
 	eng, err := newEngine(g, cfg)
@@ -465,7 +466,7 @@ func (e *engine) stepAdvance() bool {
 // for harnesses that interleave measurement with the engine's progress —
 // the allocation-regression tests advance through a run's warmup and then
 // assert that further rounds allocate nothing. Only EngineStep is
-// supported: the goroutine engines have no externally steppable loop.
+// supported: the goroutine engine has no externally steppable loop.
 //
 // A Stepper must be finished exactly once (Finish stops the worker pool);
 // Advance after the run completed is a no-op.
@@ -525,49 +526,14 @@ func (e *engine) buildProg(factory StepFactory, env *Env) (sp StepProgram) {
 
 // stepGeneration advances every unfinished node by one round segment,
 // shard-parallel when the worker pool exists (the calling goroutine takes
-// shard 0, or its share of the batches). With StepBatch resolved and
-// no adapter groups in play, the workers instead drain the node range in
-// work-stealing batches, which rebalances rounds whose active nodes
-// cluster inside few shards. (Adapter groups pin their members to the
-// shard's wake protocol, so batching is skipped when any exist.)
+// shard 0).
 func (e *engine) stepGeneration() {
-	if e.nShards == 1 {
-		e.stepShard(0)
-		return
+	for k := 1; k < e.nShards; k++ {
+		e.workCh <- shardTask{k: k, step: true}
 	}
-	if e.stepBatch > 0 && e.adGroups == nil {
-		e.stepCursor.Store(0)
-		for k := 1; k < e.nShards; k++ {
-			e.workCh <- shardTask{step: true, batch: true}
-		}
-		e.stepBatches()
-	} else {
-		for k := 1; k < e.nShards; k++ {
-			e.workCh <- shardTask{k: k, step: true}
-		}
-		e.stepShard(0)
-	}
+	e.stepShard(0)
 	for k := 1; k < e.nShards; k++ {
 		poolRecv(e.resCh, e.poolSpin)
-	}
-}
-
-// stepBatches is one worker's share of a batched step generation: claim
-// stepBatch-wide node ranges off the shared cursor until the range is
-// drained. Node state and staging buckets are per-sender, so any worker
-// may step any node; delivery stays shard-partitioned.
-func (e *engine) stepBatches() {
-	gen := e.generation
-	for {
-		hi := int(e.stepCursor.Add(int64(e.stepBatch)))
-		lo := hi - e.stepBatch
-		if lo >= e.n {
-			return
-		}
-		if hi > e.n {
-			hi = e.n
-		}
-		e.stepRange(lo, hi, gen)
 	}
 }
 
@@ -618,17 +584,6 @@ func (e *engine) stepShard(k int) {
 			}
 		}
 	}
-	e.stepRange(lo, hi, gen)
-	if g != nil {
-		<-g.done
-	}
-}
-
-// stepRange advances the native machines of nodes [lo, hi) by one round
-// segment; it is the inner loop shared by whole-shard and batched
-// stepping.
-func (e *engine) stepRange(lo, hi, gen int) {
-	p := gen & 1
 	for v := lo; v < hi; v++ {
 		env := e.envs[v]
 		// Group members are skipped before their finished flag is read:
@@ -646,6 +601,9 @@ func (e *engine) stepRange(lo, hi, gen int) {
 			env.curInbox = Inbox{}
 		}
 		e.stepNode(env, v)
+	}
+	if g != nil {
+		<-g.done
 	}
 }
 

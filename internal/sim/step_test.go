@@ -57,15 +57,15 @@ func (c *stepChatter) Step(env *Env) bool {
 	return false
 }
 
-// TestStepNativeAgrees runs the native step chatter on all three engines
-// (DriveProgram on the goroutine engines, the bare loop on EngineStep) and
-// against the goroutine chatterProgram as oracle: four executions, one
+// TestStepNativeAgrees runs the native step chatter on both in-process
+// engines (DriveProgram on EngineLegacy, the bare loop on EngineStep) and
+// against the goroutine chatterProgram as oracle: three executions, one
 // answer.
 func TestStepNativeAgrees(t *testing.T) {
 	g := graph.Grid(6, 7)
 	for seed := int64(1); seed <= 3; seed++ {
 		oracleOut, oracleM := runChatter(t, g, Config{Seed: seed, Engine: EngineLegacy})
-		for _, eng := range []Engine{EngineLegacy, EngineSharded, EngineStep} {
+		for _, eng := range []Engine{EngineLegacy, EngineStep} {
 			out := make([]int64, g.N())
 			m, err := RunStep(g, Config{Seed: seed, Engine: eng}, func(env *Env) StepProgram {
 				return newStepChatter(env, out)
@@ -83,8 +83,8 @@ func TestStepNativeAgrees(t *testing.T) {
 	}
 }
 
-// TestStepShardCountInvariance: like TestShardCountInvariance, for the step
-// engine's shard-parallel batches.
+// TestStepShardCountInvariance: like TestShardCountInvariance, for a
+// step-native program.
 func TestStepShardCountInvariance(t *testing.T) {
 	g := graph.Grid(5, 8)
 	base := make([]int64, g.N())
@@ -107,38 +107,6 @@ func TestStepShardCountInvariance(t *testing.T) {
 		}
 		if m != baseM {
 			t.Fatalf("shards=%d: metrics differ: %+v vs %+v", shards, m, baseM)
-		}
-	}
-}
-
-// TestStepBatchInvariance pins that the step engine's work-stealing batch
-// width never changes results or Metrics: any worker may step any node, so
-// batched generations must match the whole-shard baseline bit for bit,
-// including the autotuned width (-1).
-func TestStepBatchInvariance(t *testing.T) {
-	g := graph.Grid(5, 8)
-	base := make([]int64, g.N())
-	baseM, err := RunStep(g, Config{Seed: 11, Engine: EngineStep, Shards: 1}, func(env *Env) StepProgram {
-		return newStepChatter(env, base)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4, 7} {
-		for _, batch := range []int{-1, 1, 3, 64} {
-			out := make([]int64, g.N())
-			m, err := RunStep(g, Config{Seed: 11, Engine: EngineStep, Shards: shards, StepBatch: batch}, func(env *Env) StepProgram {
-				return newStepChatter(env, out)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(base, out) {
-				t.Fatalf("shards=%d batch=%d: results differ from serial baseline", shards, batch)
-			}
-			if m != baseM {
-				t.Fatalf("shards=%d batch=%d: metrics differ: %+v vs %+v", shards, batch, m, baseM)
-			}
 		}
 	}
 }
@@ -208,7 +176,7 @@ func TestSequenceMidSegmentHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineLegacy, EngineSharded, EngineStep} {
+	for _, eng := range []Engine{EngineLegacy, EngineStep} {
 		out := make([]int, g.N())
 		m, err := RunStep(g, Config{Seed: 2, Engine: eng}, func(env *Env) StepProgram {
 			got := 0
@@ -319,7 +287,7 @@ func TestStepEnginePanicCaptured(t *testing.T) {
 }
 
 // TestStepUnevenFinish: nodes finishing at different rounds must still
-// produce the goroutine engines' round accounting (a finisher's last sends
+// produce the goroutine engine's round accounting (a finisher's last sends
 // are delivered; Metrics.Rounds is the max over nodes).
 func TestStepUnevenFinish(t *testing.T) {
 	g := graph.Complete(9)
@@ -338,7 +306,7 @@ func TestStepUnevenFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineSharded, EngineStep} {
+	for _, eng := range []Engine{EngineLegacy, EngineStep} {
 		out := make([]int64, g.N())
 		m, err := RunStep(g, Config{Seed: 3, Engine: eng}, func(env *Env) StepProgram {
 			total := int64(0)
@@ -373,7 +341,7 @@ func TestStepUnevenFinish(t *testing.T) {
 func TestLocalBitsAccounting(t *testing.T) {
 	g := graph.Path(4)
 	logN := int64(Log2Ceil(g.N()))
-	for _, eng := range []Engine{EngineLegacy, EngineSharded, EngineStep} {
+	for _, eng := range []Engine{EngineLegacy, EngineStep} {
 		m, err := Run(g, Config{Seed: 1, Engine: eng}, func(env *Env) {
 			if env.ID() == 1 {
 				env.SendLocal(0, fourWordPayload{}) // 4 words
@@ -421,8 +389,8 @@ func benchStepEngineRounds(b *testing.B, eng Engine, traffic bool) {
 
 // The step-native engine benchmarks measure the same workloads as
 // benchEngineRounds with no goroutines at all: the gap to
-// BenchmarkEngineBarrierSharded is the scheduler wake/park cost the step
-// engine deletes.
+// BenchmarkEngineBarrierLegacy is the scheduler wake/park cost (and, with
+// traffic, the allocating delivery) the step engine deletes.
 func BenchmarkEngineBarrierStep(b *testing.B) { benchStepEngineRounds(b, EngineStep, false) }
 func BenchmarkEngineTrafficStep(b *testing.B) { benchStepEngineRounds(b, EngineStep, true) }
 

@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var cacheEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
 // computePipeline runs skeleton.Compute collectively through both execution
 // forms (selected by the engine) and returns the per-node results and

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep}
+var stepEngines = []sim.Engine{sim.EngineLegacy, sim.EngineStep}
 
 // TestExploreMachineMatches proves the exploration machine byte-identical
 // to LimitedExplore on every engine.

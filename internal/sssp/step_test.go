@@ -24,7 +24,7 @@ func TestLocalMachinesMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineSharded, sim.EngineStep} {
+	for _, eng := range []sim.Engine{sim.EngineLegacy, sim.EngineStep} {
 		gotOne := make([]int64, g.N())
 		gotAll := make([][]int64, g.N())
 		gotM, err := sim.RunStep(g, sim.Config{Seed: 19, Engine: eng}, func(env *sim.Env) sim.StepProgram {
